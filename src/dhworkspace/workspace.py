@@ -11,12 +11,17 @@ or resumed runs exactly equal to a sequential one.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kinematics import RobotModel, fk_batch
 from .rng import SplitMix64, bulk_unit
+
+#: bound on voxel indices and on voxels per box, so packed keys fit in int64
+_INDEX_LIMIT = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -45,24 +50,38 @@ class PointCloud:
             raise ValueError(f"points shape {self.points.shape} != ({self.n}, 3)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoxelGrid:
     """Occupancy set on a regular grid anchored at the origin.
 
     A point p belongs to voxel floor(p / resolution), componentwise, so
     grids from different runs at equal resolution are directly comparable.
+    Voxel (i, j, k) is stored as the packed key
+    ((i - lo[0]) * span[1] + (j - lo[1])) * span[2] + (k - lo[2]), where lo
+    is the box's minimum corner and span its size in voxels per axis.
     """
 
     resolution: float
-    occupied: frozenset  # of (i, j, k) integer triples
+    keys: np.ndarray  # sorted distinct packed int64 keys
+    lo: tuple  # (i, j, k) of the minimum corner of the occupied box
+    span: tuple  # voxels per axis of that box
+
+    @functools.cached_property
+    def occupied(self) -> frozenset:
+        """The occupied (i, j, k) integer triples."""
+        ij, k = np.divmod(self.keys, self.span[2])
+        i, j = np.divmod(ij, self.span[1])
+        lo = self.lo
+        return frozenset(zip((i + lo[0]).tolist(), (j + lo[1]).tolist(),
+                             (k + lo[2]).tolist()))
 
     @property
     def occupied_count(self) -> int:
-        return len(self.occupied)
+        return int(self.keys.size)
 
     @property
     def volume_estimate(self) -> float:
-        return len(self.occupied) * self.resolution ** 3
+        return self.occupied_count * self.resolution ** 3
 
 
 @dataclass(frozen=True)
@@ -135,19 +154,55 @@ def state_for_sample(seed: int, k: int, movable_count: int) -> SplitMix64:
 
 
 def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
-    """Quantize the cloud onto the origin-anchored grid."""
-    if resolution <= 0:
-        raise ValueError(f"voxel resolution must be > 0, got {resolution}")
-    idx = np.floor(cloud.points / resolution).astype(np.int64)
-    occupied = frozenset(map(tuple, idx.tolist()))
-    return VoxelGrid(resolution=resolution, occupied=occupied)
+    """Quantize the cloud onto the origin-anchored grid.
+
+    Raises ValueError when the resolution is not a positive finite number,
+    when its cube overflows, or when the grid is too fine for the cloud: a
+    voxel index of magnitude 2**62 or more, or a box of more than 2**62
+    voxels, whose packed keys would not fit in int64.
+    """
+    if not (resolution > 0 and math.isfinite(resolution)):
+        raise ValueError(f"voxel resolution must be a positive finite number, got {resolution}")
+    try:
+        resolution ** 3
+    except OverflowError:
+        raise ValueError(f"voxel resolution {resolution} is too coarse: "
+                         "the voxel volume overflows") from None
+    scaled = cloud.points / resolution
+    if scaled.size == 0:
+        return VoxelGrid(resolution, np.empty(0, dtype=np.int64), (0, 0, 0), (0, 0, 0))
+    if not np.abs(scaled).max() < _INDEX_LIMIT:
+        raise ValueError(f"voxel resolution {resolution} is too fine for this cloud: "
+                         "a voxel index reaches 2**62")
+    idx = np.floor(scaled, out=scaled).astype(np.int64)
+    lo = tuple(int(v) for v in idx.min(axis=0))
+    span = tuple(int(h) - l + 1 for h, l in zip(idx.max(axis=0).tolist(), lo))
+    if span[0] * span[1] * span[2] > _INDEX_LIMIT:
+        raise ValueError(f"voxel resolution {resolution} is too fine for this cloud: "
+                         "its box holds more than 2**62 voxels")
+    idx -= lo
+    keys = idx[:, 0] * span[1]
+    keys += idx[:, 1]
+    keys *= span[2]
+    keys += idx[:, 2]
+    keys.sort()
+    distinct = np.empty(keys.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    return VoxelGrid(resolution, keys[distinct], lo, span)
 
 
 def reachable(grid: VoxelGrid, point) -> bool:
     """Whether the point's voxel was hit by the sampled cloud."""
-    p = np.asarray(point, dtype=np.float64)
-    key = tuple(int(i) for i in np.floor(p / grid.resolution))
-    return key in grid.occupied
+    cell = np.floor(np.asarray(point, dtype=np.float64) / grid.resolution)
+    if not np.isfinite(cell).all():
+        return False
+    i, j, k = (int(c) - lo for c, lo in zip(cell.tolist(), grid.lo))
+    if not all(0 <= r < s for r, s in zip((i, j, k), grid.span)):
+        return False
+    key = (i * grid.span[1] + j) * grid.span[2] + k
+    pos = int(np.searchsorted(grid.keys, key))
+    return pos < grid.keys.size and int(grid.keys[pos]) == key
 
 
 def project(cloud: PointCloud, plane: str) -> np.ndarray:

@@ -28,7 +28,7 @@ GOLDEN = {
     ("smokie", "yz"):
         "ca4010e15a5e6ce786f54d2f8547c98d0d04d7cf33f9c979a07f5687c61d7ab3",
     ("smokie", "volume"):
-        "56098b8f7ffbba42018ef71614ec362641053caa176d3c16064fa1dbf47d9f42",
+        "b1069c710d5da08a557f5094a905b04cc226509e485fb63adf0de4b9a3ed6d41",
     ("wam", "csv"):
         "d517fe17b8a16fa9df5368a051e5e973a86631b51281cd338b1eb48d58a2a78a",
     ("wam", "ply"):
@@ -40,7 +40,7 @@ GOLDEN = {
     ("wam", "yz"):
         "15a549c1cab1710cdbf307e314193598b08e64926a0aff9d2243df106e48c4ba",
     ("wam", "volume"):
-        "8a54727be7e0d955184c95f84e615dcbc23c5196d44fb0dd136cba8e64393596",
+        "6ea7754723989d384f255d1c63f5e7c938da6499067d434ade221eaf807a9abc",
     ("wam-code-variant", "csv"):
         "88bc0c204ab12439277fa4901e02d704191132e3a3adf5bb8ad6d0f6f42728e0",
     ("wam-code-variant", "ply"):
@@ -52,7 +52,7 @@ GOLDEN = {
     ("wam-code-variant", "yz"):
         "e4eb128ecd02ef6d0f9c2f94c64fc46357d28e9631a7209e7a88d86f5592b474",
     ("wam-code-variant", "volume"):
-        "69206cca0e5306d168814f1134e886de1cb208ddc5540681bc74655edbdcd2f7",
+        "2fc14f76ec0bb3f34d2cf7ccbe066c657e9a16de530656563d21ebaf5cd86f6d",
 }
 
 

@@ -22,6 +22,7 @@ from dhworkspace import (
     link_transform,
     reach_bound,
 )
+from dhworkspace.kinematics import _BLOCK as BLOCK
 from dhworkspace.kinematics import compose
 
 
@@ -226,8 +227,12 @@ def test_fk_batch_matches_scalar_path():
 def test_fk_batch_prefix_is_bitwise_stable():
     model = builtin_fixture("wam")
     lims = np.array([r.limits for r in model.movable_rows])
-    Q = np.random.default_rng(3).uniform(lims[:, 0], lims[:, 1], size=(64, 6))
-    assert np.array_equal(fk_batch(model, Q[:16]), fk_batch(model, Q)[:16])
+    Q = np.random.default_rng(3).uniform(lims[:, 0], lims[:, 1],
+                                         size=(BLOCK + 64, 6))
+    full = fk_batch(model, Q)
+    # 16 rows sit inside the first block; BLOCK + 1 rows cross its boundary
+    for n in (16, BLOCK + 1):
+        assert np.array_equal(fk_batch(model, Q[:n]), full[:n])
 
 
 def test_fk_batch_checks_shape():
@@ -249,6 +254,27 @@ def test_fk_batch_handles_prismatic_and_fixed_rows():
     batch = fk_batch(m, Q)
     for k in range(2):
         nt.assert_allclose(batch[k], forward_kinematics(m, Q[k]), atol=1e-14)
+
+
+def test_fk_batch_matches_scalar_path_across_block_boundaries():
+    rows = (
+        row(index=1, kind=REVOLUTE, a=0.2, alpha=math.pi / 2, d=0.1),
+        row(index=2, kind=PRISMATIC, alpha=-math.pi / 2, d=0.1, limits=(0.0, 1.0)),
+        row(index=3, kind=REVOLUTE, a=0.4, alpha=0.3, fixed=0.5),
+        row(index=4, kind=REVOLUTE, a=-0.1, d=0.3, offset=0.7),
+        row(index=5, kind=PRISMATIC, a=0.05, offset=-0.2, limits=(0.0, 1.0),
+            fixed=0.25),
+    )
+    m = RobotModel(name="mixed", rows=rows)
+    sizes = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)
+    lims = np.array([r.limits for r in m.movable_rows])
+    Q = np.random.default_rng(17).uniform(lims[:, 0], lims[:, 1],
+                                          size=(max(sizes), len(lims)))
+    reference = np.array([forward_kinematics(m, q) for q in Q])
+    for n in sizes:
+        batch = fk_batch(m, Q[:n])
+        assert batch.shape == (n, 4, 4)
+        nt.assert_allclose(batch, reference[:n], rtol=0, atol=1e-13)
 
 
 # --- reach_bound ------------------------------------------------------------

@@ -222,6 +222,47 @@ def test_voxel_rejects_nonpositive_resolution():
         voxelize(cloud_of([[0, 0, 0]]), -0.1)
 
 
+def test_voxel_rejects_grids_that_overflow():
+    unit = cloud_of([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    for resolution in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            voxelize(unit, resolution)
+    with pytest.raises(ValueError, match="overflows"):
+        voxelize(unit, 1e300)
+    with pytest.raises(ValueError, match="index"):
+        voxelize(unit, 1e-20)
+    # every index is small, but the box holds (2e6 + 1)**3 > 2**62 voxels
+    with pytest.raises(ValueError, match="box"):
+        voxelize(unit, 5e-7)
+    assert voxelize(unit, 1e-6).occupied_count == 2
+
+
+def test_voxel_count_matches_tuple_set_with_negative_coordinates():
+    rng = np.random.default_rng(12)
+    points = rng.uniform(-1.3, 0.4, size=(3000, 3))
+    points[::7] = np.round(points[::7], 2)  # some points on voxel faces
+    for resolution in (0.01, 0.05, 0.3, 2.0):
+        grid = voxelize(cloud_of(points), resolution)
+        expected = set(map(tuple, np.floor(points / resolution).astype(np.int64).tolist()))
+        assert grid.occupied_count == len(expected)
+        assert grid.occupied == expected
+        assert all(reachable(grid, p) for p in points)
+
+
+def test_reachable_is_false_outside_the_grid_box():
+    points = np.random.default_rng(8).uniform(-0.5, 0.5, size=(400, 3))
+    grid = voxelize(cloud_of(points), 0.1)
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    for axis in range(3):
+        for outside in (lo[axis] - 0.1, hi[axis] + 0.1):
+            p = points[0].copy()
+            p[axis] = outside
+            assert not reachable(grid, p)
+    for bad in (math.inf, -math.inf, math.nan):
+        assert not reachable(grid, (bad, 0.0, 0.0))
+    assert not reachable(voxelize(cloud_of(np.empty((0, 3))), 0.1), (0.0, 0.0, 0.0))
+
+
 def test_voxel_order_independence():
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1, 1, size=(500, 3))

@@ -145,9 +145,9 @@ def _ply_text(cloud) -> str:
         "format ascii 1.0",
         f"comment robot={cloud.robot} seed={cloud.seed} n={cloud.n}",
         f"element vertex {cloud.n}",
-        "property float x",
-        "property float y",
-        "property float z",
+        "property double x",
+        "property double y",
+        "property double z",
         "end_header",
     ]
     lines.extend(" ".join(_f9(v) for v in row) for row in cloud.points.tolist())

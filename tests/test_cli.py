@@ -151,7 +151,7 @@ def test_workspace_ply_header_and_count(tmp_path, capsys):
     assert lines[0] == "ply"
     assert lines[1] == "format ascii 1.0"
     assert lines[3] == "element vertex 7"
-    assert lines[4:7] == ["property float x", "property float y", "property float z"]
+    assert lines[4:7] == ["property double x", "property double y", "property double z"]
     assert lines[7] == "end_header"
     body = lines[8:]
     assert len(body) == 7

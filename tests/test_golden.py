@@ -20,7 +20,7 @@ GOLDEN = {
     ("smokie", "csv"):
         "b26a80e25c17d8528c20ae5e01500bd6d5b2f8104ddd0d71e6c038ebf9493260",
     ("smokie", "ply"):
-        "3a5290f49666385673ec2fd11a33e94b8fec05736c7f9bc21da46cb9cc044279",
+        "27ec32c14655400158e60e93d0f49bd2920cc570e3825a58b68629c405ac7c96",
     ("smokie", "xy"):
         "41991c9aba630d7974dd5e7e36ffb7208eb8d617b3b2c6d70374c8d515cdf3f4",
     ("smokie", "xz"):
@@ -32,7 +32,7 @@ GOLDEN = {
     ("wam", "csv"):
         "d517fe17b8a16fa9df5368a051e5e973a86631b51281cd338b1eb48d58a2a78a",
     ("wam", "ply"):
-        "37315e392e7c6c4e58aedc3215a5e2b04c081a7e44feb94301f1618a53bb7f2b",
+        "b449c6cf49080293a79e794ffbeaa741bcb31993b2926175b38b1262e52c2ead",
     ("wam", "xy"):
         "deaf914b343da5f284b63081548031af4bd55944bb5ec5b1b60f0f0b16547de5",
     ("wam", "xz"):
@@ -44,7 +44,7 @@ GOLDEN = {
     ("wam-code-variant", "csv"):
         "88bc0c204ab12439277fa4901e02d704191132e3a3adf5bb8ad6d0f6f42728e0",
     ("wam-code-variant", "ply"):
-        "8f286072a2646033fa5f5362cb7314ed8285a2013f83bef89a8f5643a9f476b0",
+        "cd0650f7a0b7dc4cd6dcfbb5129eb529e32f5a68cf30efa3cb57ed3b5f8a8097",
     ("wam-code-variant", "xy"):
         "50c8bbb280203c3e3d653b28fbcca24f09626eac747437328c823fd38cf3b0f1",
     ("wam-code-variant", "xz"):

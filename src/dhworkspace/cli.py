@@ -66,8 +66,8 @@ def _seed(raw: str) -> int:
 
 def _positive_float(raw: str) -> float:
     value = float(raw)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be > 0")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError("must be a finite number > 0")
     return value
 
 
@@ -206,7 +206,10 @@ def _cmd_project(args) -> int:
 def _cmd_volume(args) -> int:
     model = _require_model(args.robot)
     cloud = generate_cloud(model, SampleSpec(n=args.samples, seed=args.seed))
-    summary = summarize(cloud, args.voxel)
+    try:
+        summary = summarize(cloud, args.voxel)
+    except ValueError as exc:
+        raise _Failure(EXIT_USAGE, f"--voxel: {exc}") from None
     payload = {
         "robot": summary.robot,
         "n": summary.n,
@@ -218,7 +221,12 @@ def _cmd_volume(args) -> int:
         "bbox_min": list(summary.bbox_min),
         "bbox_max": list(summary.bbox_max),
     }
-    print(json.dumps(payload))
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError:
+        raise _Failure(EXIT_USAGE,
+                       f"--voxel: volume {summary.volume_estimate} is not finite") from None
+    print(text)
     return EXIT_OK
 
 

@@ -256,6 +256,21 @@ def test_bad_flag_value_exits_1(capsys):
     assert run(capsys, "volume", "builtin:wam", "--voxel", "-1")[0] == 1
 
 
+@pytest.mark.parametrize("voxel, message", [
+    ("1e-20", "too fine"),  # voxel indices beyond int64 packing
+    ("1e300", "overflows"),  # resolution ** 3 overflows
+    ("5.6e102", "not finite"),  # the cube fits, eight voxels of it do not
+    ("inf", "finite number > 0"),
+    ("nan", "finite number > 0"),
+])
+def test_volume_rejects_unusable_voxel_sizes(capsys, voxel, message):
+    code, out, err = run(capsys, "volume", "builtin:wam", "--samples", "100",
+                         "--voxel", voxel)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err
+
+
 def test_missing_required_flag_exits_1(capsys):
     assert run(capsys, "workspace", "builtin:wam")[0] == 1
 

@@ -77,7 +77,7 @@ class VoxelGrid:
 
     @property
     def occupied_count(self) -> int:
-        return int(self.keys.size)
+        return self.keys.size
 
     @property
     def volume_estimate(self) -> float:
@@ -164,7 +164,7 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
     if not (resolution > 0 and math.isfinite(resolution)):
         raise ValueError(f"voxel resolution must be a positive finite number, got {resolution}")
     try:
-        resolution ** 3
+        resolution ** 3  # as in VoxelGrid.volume_estimate
     except OverflowError:
         raise ValueError(f"voxel resolution {resolution} is too coarse: "
                          "the voxel volume overflows") from None
@@ -181,14 +181,9 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
         raise ValueError(f"voxel resolution {resolution} is too fine for this cloud: "
                          "its box holds more than 2**62 voxels")
     idx -= lo
-    keys = idx[:, 0] * span[1]
-    keys += idx[:, 1]
-    keys *= span[2]
-    keys += idx[:, 2]
+    keys = (idx[:, 0] * span[1] + idx[:, 1]) * span[2] + idx[:, 2]
     keys.sort()
-    distinct = np.empty(keys.size, dtype=bool)
-    distinct[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    distinct = np.concatenate(([True], keys[1:] != keys[:-1]))
     return VoxelGrid(resolution, keys[distinct], lo, span)
 
 

@@ -1,7 +1,9 @@
 """Frozen SHA-256 digests of CLI output bytes.
 
 Each digest was taken once from `--samples 2000 --seed 42` on a bundled
-fixture. A change that moves a byte of any output must update the digest
+fixture, from `--samples 49159 --seed 42` on wam (3 * 16384 + 7 rows, so
+the last 16384-row block is partial), or from `fk` at a configuration whose
+transform prints a `-0.000000000` entry. A change that moves a byte of any output must update the digest
 here on purpose and say why in CHANGES.md; a test that only compares a run
 with a second run of the same code cannot catch such drift.
 """
@@ -56,16 +58,37 @@ GOLDEN = {
 }
 
 
-def _output_bytes(tmp_path, capsys, fixture, output):
+#: three full 16384-row blocks and a partial one
+BLOCK_SAMPLING = ("--samples", "49159", "--seed", "42")
+
+#: output -> sha256 hex digest for builtin:wam at BLOCK_SAMPLING
+GOLDEN_BLOCKS = {
+    "csv": "e99a629eb6eada3dc157f3dc53beb85a4546fea482947a027998293082c35d7a",
+    "ply": "c8fb897a19616189f8a798670466584f481c8d1cece525a4a873383b3d046782",
+    "xz": "12c9d5da71611ea63fbfe96fdae4a4dd468521ab7f5d7651dc31782908d028ba",
+}
+
+#: fixture -> (--q in degrees, sha256 hex digest of the fk stdout)
+GOLDEN_FK = {
+    "smokie": ("30,30,30,30,30,-90",
+               "c701564762383410d54a38151033bff96b37cdc9bfa5444a0e304a5a57306d2c"),
+    "wam": ("30,30,30,-90,-90,-30",
+            "ecd3736dc8364c956e21d8df5741a86718af34552a77f88581d411b243f7a9ec"),
+    "wam-code-variant": ("30,30,30,-90,90,-30",
+                         "cfe215d5824f88e68a2288de42cade61e9b9f0f703868249eeb56eddb0f13eeb"),
+}
+
+
+def _output_bytes(tmp_path, capsys, fixture, output, sampling=SAMPLING):
     robot = f"builtin:{fixture}"
     if output == "volume":
-        assert main(["volume", robot, *SAMPLING]) == 0
+        assert main(["volume", robot, *sampling]) == 0
         return capsys.readouterr().out.encode("utf-8")
     out = tmp_path / "out"
     if output in ("csv", "ply"):
-        argv = ["workspace", robot, *SAMPLING, "--format", output, "--out", str(out)]
+        argv = ["workspace", robot, *sampling, "--format", output, "--out", str(out)]
     else:
-        argv = ["project", robot, *SAMPLING, "--plane", output, "--out", str(out)]
+        argv = ["project", robot, *sampling, "--plane", output, "--out", str(out)]
     assert main(argv) == 0
     return out.read_bytes()
 
@@ -75,3 +98,18 @@ def _output_bytes(tmp_path, capsys, fixture, output):
 def test_output_digest_is_frozen(tmp_path, capsys, fixture, output):
     data = _output_bytes(tmp_path, capsys, fixture, output)
     assert hashlib.sha256(data).hexdigest() == GOLDEN[fixture, output]
+
+
+@pytest.mark.parametrize("output", sorted(GOLDEN_BLOCKS))
+def test_block_crossing_digest_is_frozen(tmp_path, capsys, output):
+    data = _output_bytes(tmp_path, capsys, "wam", output, BLOCK_SAMPLING)
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_BLOCKS[output]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_fk_digest_is_frozen(capsys, fixture):
+    q, digest = GOLDEN_FK[fixture]
+    assert main(["fk", f"builtin:{fixture}", f"--q={q}", "--degrees"]) == 0
+    out = capsys.readouterr().out
+    assert "-0.000000000" in out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 usage error, 2 parse error in the robot file,
 3 validation error (the file is well-formed but the model is rejected),
 4 FK domain error (wrong arity or out-of-limit joint value), 5 I/O error.
 Diagnostics and error messages go to stderr; output files are written
-atomically (temp file + rename).
+atomically (temp file + rename). Every number in CSV, PLY and fk output is
+printed `%.9f` by one helper, `_rows_text`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_FK_DOMAIN = 4
 EXIT_IO = 5
+
+#: rows formatted by one % operation in _rows_text
+_FORMAT_BLOCK = 16384
 
 #: codes for files that are well-formed text but describe a rejected model;
 #: any other error code means the text itself is broken
@@ -69,11 +73,6 @@ def _positive_float(raw: str) -> float:
     if not (value > 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError("must be a finite number > 0")
     return value
-
-
-def _f9(value: float) -> str:
-    # + 0.0 folds negative zero into "0.000000000"
-    return "%.9f" % (value + 0.0)
 
 
 def _read_source(source_arg: str):
@@ -133,10 +132,22 @@ def _write_out(path: str, text: str) -> None:
         raise _Failure(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _csv_lines(header: str, rows) -> str:
-    lines = [header]
-    lines.extend(",".join(_f9(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _rows_text(values, sep: str) -> str:
+    """One `%.9f` line per row of a 2-D float64 array, values joined by sep.
+
+    Each block of _FORMAT_BLOCK rows is one % operation on one format
+    string; + 0.0 folds negative zero into "0.000000000".
+    """
+    row_fmt = sep.join(["%.9f"] * values.shape[1]) + "\n"
+    parts = []
+    for start in range(0, values.shape[0], _FORMAT_BLOCK):
+        block = values[start:start + _FORMAT_BLOCK] + 0.0
+        parts.append((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
+
+
+def _csv_lines(header: str, values) -> str:
+    return header + "\n" + _rows_text(values, ",")
 
 
 def _ply_text(cloud) -> str:
@@ -149,9 +160,9 @@ def _ply_text(cloud) -> str:
         "property double y",
         "property double z",
         "end_header",
+        "",
     ]
-    lines.extend(" ".join(_f9(v) for v in row) for row in cloud.points.tolist())
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + _rows_text(cloud.points, " ")
 
 
 def _cmd_validate(args) -> int:
@@ -178,9 +189,7 @@ def _cmd_fk(args) -> int:
         T = forward_kinematics(model, q)
     except KinematicsError as exc:
         raise _Failure(EXIT_FK_DOMAIN, str(exc)) from None
-    for row in T.tolist():
-        print(" ".join(_f9(v) for v in row))
-    print(" ".join(_f9(v) for v in T[:3, 3].tolist()))
+    sys.stdout.write(_rows_text(T, " ") + _rows_text(T[None, :3, 3], " "))
     return EXIT_OK
 
 
@@ -188,7 +197,7 @@ def _cmd_workspace(args) -> int:
     model = _require_model(args.robot)
     cloud = generate_cloud(model, SampleSpec(n=args.samples, seed=args.seed))
     if args.format == "csv":
-        text = _csv_lines("x,y,z", cloud.points.tolist())
+        text = _csv_lines("x,y,z", cloud.points)
     else:
         text = _ply_text(cloud)
     _write_out(args.out, text)
@@ -199,7 +208,7 @@ def _cmd_project(args) -> int:
     model = _require_model(args.robot)
     cloud = generate_cloud(model, SampleSpec(n=args.samples, seed=args.seed))
     uv = project(cloud, args.plane)
-    _write_out(args.out, _csv_lines("u,v", uv.tolist()))
+    _write_out(args.out, _csv_lines("u,v", uv))
     return EXIT_OK
 
 

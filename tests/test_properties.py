@@ -1,9 +1,12 @@
-"""Property tests of the packed voxel keys on generated clouds."""
+"""Property tests of the packed voxel keys on generated clouds and of the
+CLI's block formatter on generated tables."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from dhworkspace import PointCloud, voxelize
+from dhworkspace import PointCloud, cli, voxelize
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -39,3 +42,26 @@ def test_prefix_voxels_are_a_subset(points, resolution, data):
     large = voxelize(cloud_of(points), resolution)
     assert small.occupied <= large.occupied
     assert small.occupied_count <= large.occupied_count
+
+
+# values that stress %.9f: signed zeros, either side of the 5e-10 rounding
+# step, subnormals, huge magnitudes, and exact decimal ties j/1024, which
+# round half to even at nine decimals
+special = st.sampled_from([0.0, -0.0, 4e-10, -4e-10, 6e-10, -6e-10, 5e-324, -5e-324,
+                           1e-310, -1e-310, 1e300, -1e300])
+ties = st.integers(min_value=-4096, max_value=4096).map(lambda j: j / 1024)
+values = special | ties | st.floats(allow_nan=False, allow_infinity=False)
+tables = st.tuples(st.integers(min_value=1, max_value=40), st.sampled_from([2, 3, 4])).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=values))
+
+
+def reference_rows(table, sep):
+    return "".join(sep.join("%.9f" % (v + 0.0) for v in row) + "\n" for row in table.tolist())
+
+
+@settings(deadline=None)
+@given(tables, st.integers(min_value=1, max_value=7), st.sampled_from([",", " "]))
+def test_rows_text_matches_per_value_reference(table, block, sep):
+    with mock.patch.object(cli, "_FORMAT_BLOCK", block):
+        assert cli._rows_text(table, sep) == reference_rows(table, sep)
+        assert cli._csv_lines("h", table) == "h\n" + reference_rows(table, ",")

@@ -292,12 +292,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
     except _Failure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:
+        samples = getattr(args, "samples", None)
+        if samples is None:
+            raise
+        print(f"error: not enough memory for --samples {samples}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

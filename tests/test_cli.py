@@ -271,6 +271,23 @@ def test_volume_rejects_unusable_voxel_sizes(capsys, voxel, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("command", [
+    ["volume"],
+    ["workspace", "--out"],
+    ["project", "--plane", "xz", "--out"],
+])
+def test_impossible_sample_count_exits_1(tmp_path, capsys, command):
+    # petabytes of draws: refused at allocation, before any page is touched
+    out = tmp_path / "cloud.csv"
+    argv = [command[0], "builtin:smokie", "--samples", str(10 ** 15), *command[1:]]
+    if argv[-1] == "--out":
+        argv.append(str(out))
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: not enough memory for --samples {10 ** 15}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_required_flag_exits_1(capsys):
     assert run(capsys, "workspace", "builtin:wam")[0] == 1
 

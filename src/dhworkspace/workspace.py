@@ -135,9 +135,9 @@ def joint_samples(model: RobotModel, spec: SampleSpec) -> np.ndarray:
 
 def generate_cloud(model: RobotModel, spec: SampleSpec) -> PointCloud:
     """Sample the joint space and evaluate FK; points in sample order."""
-    Q = joint_samples(model, spec)
-    T = fk_batch(model, Q)
-    points = T[:, :3, 3]
+    # a contiguous copy, so neither the configurations nor the (n, 4, 4)
+    # transforms outlive this call
+    points = fk_batch(model, joint_samples(model, spec))[:, :3, 3].copy()
     points.flags.writeable = False
     return PointCloud(points=points, robot=model.name, seed=spec.seed, n=spec.n)
 
@@ -215,7 +215,10 @@ def summarize(cloud: PointCloud, resolution: float) -> WorkspaceSummary:
     if cloud.points.shape[0] == 0:
         raise ValueError("cannot summarize an empty cloud")
     grid = voxelize(cloud, resolution)
-    reach = float(np.linalg.norm(cloud.points, axis=1).max())
+    P = cloud.points
+    # sqrt is monotone and correctly rounded: the same bits as the largest
+    # np.linalg.norm(P, axis=1), without a square root per point
+    reach = math.sqrt(float((P * P).sum(axis=1).max()))
     return WorkspaceSummary(
         robot=cloud.robot,
         n=cloud.n,

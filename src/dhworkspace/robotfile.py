@@ -326,13 +326,12 @@ def _fmt_num(value: float) -> str:
 
 def _fmt_angle(value: float) -> str:
     """Canonical angle token: an exact pi fraction when the value is one."""
-    if math.pi / 360 <= abs(value) <= math.pi:
-        for den in range(1, 361):
-            ref = math.pi / den
-            if value == ref:
-                return "pi" if den == 1 else f"pi/{den}"
-            if value == -ref:
-                return "-pi" if den == 1 else f"-pi/{den}"
+    magnitude = abs(value)
+    if math.pi / 360 <= magnitude <= math.pi:
+        # math.pi / (math.pi / den) is within a few ulps of den
+        den = round(math.pi / magnitude)
+        if magnitude == math.pi / den:
+            return ("-" if value < 0 else "") + ("pi" if den == 1 else f"pi/{den}")
     return _fmt_num(value)
 
 

@@ -17,6 +17,7 @@ from dhworkspace import (
     serialize_robot,
     validate,
 )
+from dhworkspace.robotfile import _fmt_angle
 
 H = 'robot "T"\nunits m\n'
 OK = "joint 1 type=revolute a=0 alpha=0 d=0 offset=0 min=-1 max=1\n"
@@ -228,6 +229,30 @@ def test_near_pi_values_stay_decimal():
     again, _ = parse_robot(serialize_robot(model))
     assert again.rows[0].alpha == almost
     assert "alpha=pi" not in serialize_robot(model)
+
+
+def _angle_by_search(value):
+    # the search over every denominator that _fmt_angle replaces
+    if math.pi / 360 <= abs(value) <= math.pi:
+        for den in range(1, 361):
+            ref = math.pi / den
+            if value == ref:
+                return "pi" if den == 1 else f"pi/{den}"
+            if value == -ref:
+                return "-pi" if den == 1 else f"-pi/{den}"
+    return "%.17g" % value
+
+
+def test_angle_tokens_match_a_search_over_denominators():
+    values = [0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan, 2 * math.pi,
+              math.pi / 361, math.pi / 360.5, 1.0]
+    for den in range(1, 361):
+        for ref in (math.pi / den, -math.pi / den):
+            values += [ref, math.nextafter(ref, math.inf), math.nextafter(ref, -math.inf)]
+    for value in values:
+        assert _fmt_angle(value) == _angle_by_search(value), value
+    assert _fmt_angle(-math.pi / 7) == "-pi/7"
+    assert _fmt_angle(math.pi) == "pi"
 
 
 def test_awkward_decimals_round_trip():

@@ -160,9 +160,8 @@ def _ply_text(cloud) -> str:
         "property double y",
         "property double z",
         "end_header",
-        "",
     ]
-    return "\n".join(lines) + _rows_text(cloud.points, " ")
+    return "\n".join(lines) + "\n" + _rows_text(cloud.points, " ")
 
 
 def _cmd_validate(args) -> int:

@@ -215,16 +215,22 @@ def summarize(cloud: PointCloud, resolution: float) -> WorkspaceSummary:
     if cloud.points.shape[0] == 0:
         raise ValueError("cannot summarize an empty cloud")
     grid = voxelize(cloud, resolution)
-    P = cloud.points
-    # sqrt is monotone and correctly rounded: the same bits as the largest
-    # np.linalg.norm(P, axis=1), without a square root per point
-    reach = math.sqrt(float((P * P).sum(axis=1).max()))
+    # one pass per column is cheaper than reducing the short rows of (n, 3)
+    columns = cloud.points.T
+    x, y, z = columns
+    # (x*x + y*y) + z*z is the sum order of np.linalg.norm(points, axis=1),
+    # and sqrt is monotone and correctly rounded: the same bits as its
+    # largest value, without a square root per point
+    r2 = x * x
+    r2 += y * y
+    r2 += z * z
+    reach = math.sqrt(float(r2.max()))
     return WorkspaceSummary(
         robot=cloud.robot,
         n=cloud.n,
         seed=cloud.seed,
-        bbox_min=tuple(float(v) for v in cloud.points.min(axis=0)),
-        bbox_max=tuple(float(v) for v in cloud.points.max(axis=0)),
+        bbox_min=tuple(float(c.min()) for c in columns),
+        bbox_max=tuple(float(c.max()) for c in columns),
         max_reach=reach,
         voxel_resolution=resolution,
         occupied_count=grid.occupied_count,

@@ -1,12 +1,12 @@
-"""Property tests of the packed voxel keys on generated clouds and of the
-CLI's block formatter on generated tables."""
+"""Property tests of the packed voxel keys and the summary on generated
+clouds, and of the CLI's block formatter on generated tables."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from dhworkspace import PointCloud, cli, voxelize
+from dhworkspace import PointCloud, cli, summarize, voxelize
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -42,6 +42,15 @@ def test_prefix_voxels_are_a_subset(points, resolution, data):
     large = voxelize(cloud_of(points), resolution)
     assert small.occupied <= large.occupied
     assert small.occupied_count <= large.occupied_count
+
+
+@settings(deadline=None)
+@given(clouds)
+def test_summary_matches_row_reductions(points):
+    summary = summarize(cloud_of(points), 1.0)
+    assert summary.max_reach == float(np.linalg.norm(points, axis=1).max())
+    assert summary.bbox_min == tuple(points.min(axis=0).tolist())
+    assert summary.bbox_max == tuple(points.max(axis=0).tolist())
 
 
 # values that stress %.9f: signed zeros, either side of the 5e-10 rounding

@@ -232,7 +232,7 @@ def test_near_pi_values_stay_decimal():
 
 
 def _angle_by_search(value):
-    # the search over every denominator that _fmt_angle replaces
+    # reference: compare with pi/den for every den in 1..360
     if math.pi / 360 <= abs(value) <= math.pi:
         for den in range(1, 361):
             ref = math.pi / den

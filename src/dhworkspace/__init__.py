@@ -9,10 +9,8 @@ from .kinematics import (
     JointLimitError,
     KinematicsError,
     RobotModel,
-    ee_position,
     fk_batch,
     forward_kinematics,
-    frame_chain,
     link_transform,
     reach_bound,
 )
@@ -24,7 +22,6 @@ from .robotfile import (
     fixture_source,
     parse_robot,
     serialize_robot,
-    validate,
 )
 from .workspace import (
     PointCloud,
@@ -36,7 +33,6 @@ from .workspace import (
     project,
     reachable,
     sample_config,
-    state_for_sample,
     summarize,
     voxelize,
 )
@@ -59,12 +55,10 @@ __all__ = [
     "WorkspaceSummary",
     "builtin_fixture",
     "bulk_unit",
-    "ee_position",
     "fixture_names",
     "fixture_source",
     "fk_batch",
     "forward_kinematics",
-    "frame_chain",
     "generate_cloud",
     "joint_samples",
     "link_transform",
@@ -74,8 +68,6 @@ __all__ = [
     "reachable",
     "sample_config",
     "serialize_robot",
-    "state_for_sample",
     "summarize",
-    "validate",
     "voxelize",
 ]

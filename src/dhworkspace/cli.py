@@ -121,6 +121,10 @@ def _write_out(path: str, text: str) -> None:
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}") from None
     try:
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as handle:
             handle.write(text.encode("utf-8"))
         os.replace(tmp, path)

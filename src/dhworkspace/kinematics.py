@@ -87,8 +87,8 @@ class RobotModel:
 
     source_units records the unit the description was written in; row values
     are already converted. Chains with zero degrees of freedom are
-    constructible (useful for degenerate tests) but rejected by
-    robotfile.validate, which demands at least one movable joint.
+    constructible (useful for degenerate tests) but rejected by the
+    parser, which demands at least one movable joint.
     """
 
     name: str
@@ -139,11 +139,6 @@ def link_transform(row: DHRow, q: float) -> np.ndarray:
     )
 
 
-def compose(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Product of two homogeneous transforms (lhs applied first in the chain)."""
-    return lhs @ rhs
-
-
 def _resolve_config(model: RobotModel, config) -> list[float]:
     """Validate a movable-joint configuration, return one value per row."""
     values = [float(v) for v in np.asarray(config, dtype=np.float64).ravel()]
@@ -170,17 +165,6 @@ def _resolve_config(model: RobotModel, config) -> list[float]:
     return per_row
 
 
-def frame_chain(model: RobotModel, config) -> list[np.ndarray]:
-    """All accumulated frames: element 0 is identity, element k is A1..Ak."""
-    per_row = _resolve_config(model, config)
-    frames = [np.eye(4)]
-    T = frames[0]
-    for row, q in zip(model.rows, per_row):
-        T = T @ link_transform(row, q)
-        frames.append(T)
-    return frames
-
-
 def forward_kinematics(model: RobotModel, config) -> np.ndarray:
     """Base-to-end-effector transform for one configuration.
 
@@ -188,12 +172,10 @@ def forward_kinematics(model: RobotModel, config) -> np.ndarray:
     their stored constant. Values outside a row's limits raise
     JointLimitError rather than being clamped.
     """
-    return frame_chain(model, config)[-1]
-
-
-def ee_position(model: RobotModel, config) -> np.ndarray:
-    """End-effector position (x, y, z): fourth column of the full transform."""
-    return forward_kinematics(model, config)[:3, 3]
+    T = np.eye(4)
+    for row, q in zip(model.rows, _resolve_config(model, config)):
+        T = T @ link_transform(row, q)
+    return T
 
 
 #: configurations per block in fk_batch; the working set of one block stays

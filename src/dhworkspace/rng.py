@@ -38,10 +38,6 @@ class SplitMix64:
         """Uniform double on [0, 1): the top 53 bits of the next output."""
         return (self.next_u64() >> 11) * _UNIT
 
-    def advance(self, n: int) -> None:
-        """Skip n outputs in O(1)."""
-        self.state = (self.state + n * GOLDEN) & MASK64
-
 
 def bulk_unit(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Outputs offset+1 .. offset+count of SplitMix64(seed).next_unit(),
@@ -50,6 +46,8 @@ def bulk_unit(seed: int, count: int, offset: int = 0) -> np.ndarray:
     if count < 0:
         raise ValueError("count must be >= 0")
     base = np.uint64((seed + offset * GOLDEN) & MASK64)
+    if count > np.iinfo(np.intp).max // 8:  # more bytes than an array can index
+        raise MemoryError(f"cannot allocate {count} draws")
     with np.errstate(over="ignore"):
         k = np.arange(1, count + 1, dtype=np.uint64)
         z = base + k * np.uint64(GOLDEN)

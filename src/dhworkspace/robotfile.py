@@ -37,7 +37,8 @@ ERROR = "error"
 WARNING = "warning"
 
 _NUM_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z")
-_PI_RE = re.compile(r"(-?)pi(?:/(\d+))?\Z")
+#: pi/<den> needs den >= 1 and below float's range, so at most 308 digits
+_PI_RE = re.compile(r"(-?)pi(?:/0*([1-9]\d{0,307}))?\Z")
 _TOKEN_RE = re.compile(r"\S+")
 _ROBOT_RE = re.compile(r"\s*robot\s+\"([^\"]*)\"\s*\Z")
 
@@ -275,26 +276,6 @@ def _check_indices(joints, diags):
         diags.append(_err(j.line, j.column,
                           f"joint indices must be contiguous 1..{len(seen)}, got {sorted(seen)}",
                           "noncontiguous-indices"))
-
-
-def validate(model: RobotModel) -> list[Diagnostic]:
-    """Semantic checks on an already-built model.
-
-    Structural invariants (finite values, ordered limits, fixed within
-    limits) are enforced by the DHRow/RobotModel constructors, so this
-    reports only what those types permit: a chain with no degrees of
-    freedom is an error, zero-span limits a warning. Positions anchor at
-    1:1 since there is no source text.
-    """
-    diags = []
-    if model.movable_count == 0:
-        diags.append(_err(1, 1, "every joint is fixed; at least one degree of freedom is required",
-                          "all-joints-fixed"))
-    for row in model.rows:
-        if row.limits[0] == row.limits[1]:
-            diags.append(_warn(1, 1, f"joint {row.index}: min == max, joint cannot move",
-                               "zero-span-limits"))
-    return diags
 
 
 def _unscale(value: float, factor: float) -> float:

@@ -4,9 +4,10 @@ Joint configurations are drawn uniformly within each movable joint's limits
 from a single splitmix64 stream, so a cloud is fully determined by
 (model, n, seed) and is byte-reproducible across platforms. Sample k
 consumes draws (k-1)*m+1 .. k*m of the stream, where m is the movable
-joint count; because the generator state advances additively, the state
-for any sample index can be reconstructed in O(1), which keeps partitioned
-or resumed runs exactly equal to a sequential one.
+joint count. The generator state advances additively, so
+rng.bulk_unit(seed, count, offset) with offset = (k-1)*m starts the stream
+at sample k in O(1), which keeps partitioned or resumed runs exactly equal
+to a sequential one.
 """
 
 from __future__ import annotations
@@ -140,17 +141,6 @@ def generate_cloud(model: RobotModel, spec: SampleSpec) -> PointCloud:
     points = fk_batch(model, joint_samples(model, spec))[:, :3, 3].copy()
     points.flags.writeable = False
     return PointCloud(points=points, robot=model.name, seed=spec.seed, n=spec.n)
-
-
-def state_for_sample(seed: int, k: int, movable_count: int) -> SplitMix64:
-    """Generator state just before sample k (1-based) is drawn.
-
-    Lets a worker produce samples k, k+1, ... identical to the sequential
-    stream without replaying the first k-1 samples.
-    """
-    rng = SplitMix64(seed)
-    rng.advance((k - 1) * movable_count)
-    return rng
 
 
 def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:

@@ -164,6 +164,18 @@ def test_workspace_leaves_no_temp_files(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["cloud.csv"]
 
 
+def test_output_file_mode_follows_umask(tmp_path, capsys):
+    out_file = tmp_path / "cloud.csv"
+    saved = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            os.umask(umask)
+            run(capsys, "workspace", "builtin:wam", "--samples", "10", "--out", str(out_file))
+            assert out_file.stat().st_mode & 0o777 == mode
+    finally:
+        os.umask(saved)
+
+
 def test_workspace_default_flags(tmp_path, capsys):
     # defaults: 20000 samples, seed 42
     out_file = tmp_path / "cloud.csv"
@@ -277,15 +289,17 @@ def test_volume_rejects_unusable_voxel_sizes(capsys, voxel, message):
     ["project", "--plane", "xz", "--out"],
 ])
 def test_impossible_sample_count_exits_1(tmp_path, capsys, command):
-    # petabytes of draws: refused at allocation, before any page is touched
+    # 10**15: petabytes of draws, refused at allocation before any page is
+    # touched; 10**19: more draws than an array can even index
     out = tmp_path / "cloud.csv"
-    argv = [command[0], "builtin:smokie", "--samples", str(10 ** 15), *command[1:]]
-    if argv[-1] == "--out":
-        argv.append(str(out))
-    code, stdout, err = run(capsys, *argv)
-    assert (code, stdout) == (1, "")
-    assert err == f"error: not enough memory for --samples {10 ** 15}\n"
-    assert list(tmp_path.iterdir()) == []
+    for samples in (10 ** 15, 10 ** 19):
+        argv = [command[0], "builtin:smokie", "--samples", str(samples), *command[1:]]
+        if argv[-1] == "--out":
+            argv.append(str(out))
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: not enough memory for --samples {samples}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_required_flag_exits_1(capsys):

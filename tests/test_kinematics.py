@@ -15,15 +15,12 @@ from dhworkspace import (
     KinematicsError,
     RobotModel,
     builtin_fixture,
-    ee_position,
     fk_batch,
     forward_kinematics,
-    frame_chain,
     link_transform,
     reach_bound,
 )
 from dhworkspace.kinematics import _BLOCK as BLOCK
-from dhworkspace.kinematics import compose
 
 
 def row(index=1, kind=REVOLUTE, a=0.0, alpha=0.0, d=0.0, offset=0.0,
@@ -138,7 +135,7 @@ def test_model_rejects_noncontiguous_indices():
 
 
 def test_all_fixed_chain_is_constructible():
-    # zero degrees of freedom is a robotfile.validate error, not a type error
+    # zero degrees of freedom is rejected by the parser, not by the type
     m = RobotModel(name="frozen", rows=(row(fixed=0.0),))
     assert m.movable_count == 0
     nt.assert_allclose(forward_kinematics(m, []), np.eye(4))
@@ -146,30 +143,23 @@ def test_all_fixed_chain_is_constructible():
 
 # --- chains and the joint-value contract ----------------------------------
 
-def test_compose_is_matrix_product():
-    A = link_transform(row(a=1.0), 0.2)
-    B = link_transform(row(alpha=0.5, d=0.3), -0.4)
-    assert np.array_equal(compose(A, B), A @ B)
-
-
 def test_frame_chain_accumulates():
-    wam = builtin_fixture("wam")
-    q = [0.1, -0.2, 0.3, 0.0, 0.5, -0.6]
-    frames = frame_chain(wam, q)
-    assert len(frames) == len(wam.rows) + 1
-    assert np.array_equal(frames[0], np.eye(4))
-    assert np.array_equal(frames[-1], forward_kinematics(wam, q))
-    # each step is one more link transform
-    per_row = [0.0] + q  # row 1 is fixed at 0
-    for k, row_k in enumerate(wam.rows, start=1):
-        step = link_transform(row_k, per_row[k - 1])
-        nt.assert_allclose(frames[k], frames[k - 1] @ step, atol=1e-15)
-
-
-def test_ee_position_is_fourth_column():
-    smokie = builtin_fixture("smokie")
-    q = [0.3, -1.0, 0.7, 0.1, 0.2, -0.5]
-    assert np.array_equal(ee_position(smokie, q), forward_kinematics(smokie, q)[:3, 3])
+    # forward_kinematics is the ordered product of the link transforms,
+    # fixed rows at their constant
+    mixed = RobotModel(name="mixed", rows=(
+        row(1, a=0.3, alpha=0.5, d=0.1),
+        row(2, kind=PRISMATIC, alpha=-1.2, d=0.2, limits=(0.0, 1.0), fixed=0.4),
+        row(3, a=-0.7, d=0.05, offset=0.3, fixed=-0.9),
+        row(4, kind=PRISMATIC, a=0.2, alpha=2.0, limits=(-0.5, 0.5)),
+    ))
+    wam = builtin_fixture("wam")  # row 1 fixed at 0
+    cases = [(mixed, [0.8, -0.25], [0.8, 0.4, -0.9, -0.25]),
+             (wam, [0.1, -0.2, 0.3, 0.0, 0.5, -0.6], [0.0, 0.1, -0.2, 0.3, 0.0, 0.5, -0.6])]
+    for model, q, per_row in cases:
+        expected = np.eye(4)
+        for row_k, q_k in zip(model.rows, per_row):
+            expected = expected @ link_transform(row_k, q_k)
+        assert np.array_equal(forward_kinematics(model, q), expected)
 
 
 def test_fixed_rows_consume_no_values():

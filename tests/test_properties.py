@@ -1,12 +1,30 @@
 """Property tests of the packed voxel keys and the summary on generated
-clouds, and of the CLI's block formatter on generated tables."""
+clouds, of the CLI's block formatter on generated tables, of batched
+against scalar FK on generated chains, and of the robot file round trip
+on generated text."""
 
+import math
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
+import numpy.testing as nt
 import pytest
 
-from dhworkspace import PointCloud, cli, summarize, voxelize
+from dhworkspace import (
+    PRISMATIC,
+    REVOLUTE,
+    DHRow,
+    PointCloud,
+    RobotModel,
+    cli,
+    fk_batch,
+    forward_kinematics,
+    parse_robot,
+    serialize_robot,
+    summarize,
+    voxelize,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -74,3 +92,97 @@ def test_rows_text_matches_per_value_reference(table, block, sep):
     with mock.patch.object(cli, "_FORMAT_BLOCK", block):
         assert cli._rows_text(table, sep) == reference_rows(table, sep)
         assert cli._csv_lines("h", table) == "h\n" + reference_rows(table, ",")
+
+
+# --- fk_batch against forward_kinematics ----------------------------------------
+
+lengths = st.floats(min_value=-2.0, max_value=2.0)
+angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
+
+
+@st.composite
+def dh_rows(draw, index):
+    kind = draw(st.sampled_from([REVOLUTE, PRISMATIC]))
+    span = angles if kind == REVOLUTE else lengths
+    lo, hi = sorted((draw(span), draw(span)))
+    return DHRow(index=index, kind=kind, a=draw(lengths), alpha=draw(angles),
+                 d=draw(lengths), theta_offset=draw(angles), limits=(lo, hi),
+                 fixed=draw(st.none() | st.floats(min_value=lo, max_value=hi)))
+
+
+chains = st.integers(min_value=1, max_value=8).flatmap(
+    lambda k: st.tuples(*[dh_rows(i) for i in range(1, k + 1)])).map(
+    lambda rows: RobotModel(name="generated", rows=rows))
+
+
+@settings(deadline=None)
+@given(chains, st.data())
+def test_fk_batch_matches_forward_kinematics(model, data):
+    within_limits = st.tuples(*[st.floats(min_value=lo, max_value=hi)
+                                for lo, hi in (row.limits for row in model.movable_rows)])
+    configs = data.draw(st.lists(within_limits, min_size=1, max_size=4))
+    Q = np.array(configs, dtype=np.float64).reshape(len(configs), model.movable_count)
+    for T, q in zip(fk_batch(model, Q), Q):
+        reference = forward_kinematics(model, q)
+        nt.assert_allclose(T[:3, 3], reference[:3, 3], rtol=0, atol=1e-12)
+        nt.assert_allclose(T[:3, :3], reference[:3, :3], rtol=0, atol=1e-12)
+
+
+# --- robot file round trip ------------------------------------------------------
+
+def decimal_text(limit):
+    """Decimal tokens such as 1500, -12.5 or 0.003, |value| <= limit."""
+    def with_places(places):
+        bound = int(limit * 10 ** places)
+        return st.integers(min_value=-bound, max_value=bound).map(
+            lambda k: str(Decimal(k).scaleb(-places)))
+    return st.integers(min_value=0, max_value=6).flatmap(with_places)
+
+
+pi_text = st.tuples(st.sampled_from(["", "-"]), st.none() | st.integers(min_value=1, max_value=1000)).map(
+    lambda t: t[0] + "pi" + ("" if t[1] is None else f"/{t[1]}"))
+angle_text = decimal_text(2 * math.pi) | pi_text
+length_text = decimal_text(1000)
+
+
+def token_value(token):
+    if "pi" not in token:
+        return float(token)
+    sign, _, den = token.partition("pi")
+    value = math.pi / int(den[1:]) if den else math.pi
+    return -value if sign else value
+
+
+@st.composite
+def joint_lines(draw, index):
+    kind = draw(st.sampled_from([REVOLUTE, PRISMATIC]))
+    limit_text = angle_text if kind == REVOLUTE else length_text
+    lo, hi = sorted((draw(limit_text), draw(limit_text)), key=token_value)
+    fields = [f"joint {index}", f"type={kind}", f"a={draw(length_text)}",
+              f"alpha={draw(angle_text)}", f"d={draw(length_text)}",
+              f"offset={draw(angle_text)}", f"min={lo}", f"max={hi}"]
+    fixed = draw(st.sampled_from([None, lo, hi]))
+    if fixed is not None:
+        fields.append(f"fixed={fixed}")
+    return " ".join(fields)
+
+
+robot_texts = st.tuples(
+    st.text(alphabet="abcXYZ019 -_", min_size=1, max_size=12),
+    st.sampled_from(["m", "cm", "mm"]),
+    st.integers(min_value=1, max_value=7).flatmap(
+        lambda k: st.tuples(*[joint_lines(i) for i in range(1, k + 1)])),
+).map(lambda t: f'robot "{t[0]}"\nunits {t[1]}\n' + "\n".join(t[2]) + "\n")
+
+
+@settings(deadline=None)
+@given(robot_texts)
+def test_parse_serialize_parse_gives_an_equal_model(text):
+    model, diags = parse_robot(text)
+    if model is None:
+        # the only error generated text can carry: every joint fixed
+        assert {d.code for d in diags if d.severity == "error"} == {"all-joints-fixed"}
+        return
+    again, again_diags = parse_robot(serialize_robot(model))
+    assert again == model
+    assert [d.code for d in again_diags] == [d.code for d in diags]

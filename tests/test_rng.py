@@ -84,23 +84,6 @@ def test_unit_range_and_mean():
     assert abs(u.mean() - 0.5) < 0.005
 
 
-def test_advance_equals_n_draws():
-    a = SplitMix64(77)
-    for _ in range(123):
-        a.next_u64()
-    b = SplitMix64(77)
-    b.advance(123)
-    assert a.state == b.state
-    assert a.next_u64() == b.next_u64()
-
-
-def test_advance_rewinds():
-    rng = SplitMix64(13)
-    first = rng.next_u64()
-    rng.advance(-1)
-    assert rng.next_u64() == first
-
-
 @pytest.mark.parametrize("seed", [0, 42, 2 ** 64 - 1])
 def test_bulk_unit_matches_scalar(seed):
     rng = SplitMix64(seed)

@@ -15,7 +15,6 @@ from dhworkspace import (
     fixture_source,
     parse_robot,
     serialize_robot,
-    validate,
 )
 from dhworkspace.robotfile import _fmt_angle
 
@@ -120,6 +119,16 @@ MALFORMED = [
      "bad-number", 3, "a=pi"),
     ("bad-angle", H + "joint 1 type=revolute a=0 alpha=tau d=0 offset=0 min=-1 max=1\n",
      "bad-angle", 3, "alpha=tau"),
+    ("pi-over-zero", H + "joint 1 type=revolute a=0 alpha=pi/0 d=0 offset=0 min=-1 max=1\n",
+     "bad-angle", 3, "alpha=pi/0"),
+    ("minus-pi-over-zeros", H + "joint 1 type=revolute a=0 alpha=0 d=0 offset=-pi/00 min=-1 max=1\n",
+     "bad-angle", 3, "offset=-pi/00"),
+    ("pi-over-float-overflow",
+     H + "joint 1 type=revolute a=0 alpha=pi/" + "9" * 400 + " d=0 offset=0 min=-1 max=1\n",
+     "bad-angle", 3, "alpha=pi/"),
+    ("pi-over-too-many-digits",
+     H + "joint 1 type=revolute a=0 alpha=0 d=0 offset=0 min=-pi/" + "7" * 5000 + " max=1\n",
+     "bad-angle", 3, "min=-pi/"),
     ("duplicate-joint-index", H + OK + OK, "duplicate-joint-index", 4, "1"),
     ("noncontiguous-indices",
      H + OK + "joint 3 type=revolute a=0 alpha=0 d=0 offset=0 min=-1 max=1\n",
@@ -317,31 +326,6 @@ def test_serialize_then_parse_is_stable_for_programmatic_models():
     once, _ = parse_robot(serialize_robot(model))
     twice, _ = parse_robot(serialize_robot(once))
     assert once == twice
-
-
-# --- validate ---------------------------------------------------------------
-
-@pytest.mark.parametrize("name", ["smokie", "wam", "wam-code-variant"])
-def test_fixture_models_validate_clean(name):
-    assert validate(builtin_fixture(name)) == []
-
-
-def test_validate_flags_all_fixed_chain():
-    model = RobotModel(name="frozen", rows=(
-        DHRow(index=1, kind=REVOLUTE, a=0.0, alpha=0.0, d=0.0,
-              limits=(-1.0, 1.0), fixed=0.0),))
-    diags = validate(model)
-    assert [d.code for d in diags] == ["all-joints-fixed"]
-    assert diags[0].severity == "error"
-
-
-def test_validate_warns_on_zero_span():
-    model = RobotModel(name="stuck", rows=(
-        DHRow(index=1, kind=REVOLUTE, a=0.0, alpha=0.0, d=0.0,
-              limits=(0.7, 0.7)),))
-    diags = validate(model)
-    assert [d.code for d in diags] == ["zero-span-limits"]
-    assert diags[0].severity == "warning"
 
 
 # --- fixtures ---------------------------------------------------------------

@@ -21,11 +21,10 @@ from dhworkspace import (
     reach_bound,
     reachable,
     sample_config,
-    state_for_sample,
     summarize,
     voxelize,
 )
-from dhworkspace.rng import SplitMix64
+from dhworkspace.rng import GOLDEN, MASK64, SplitMix64
 
 
 def limits_matrix(model):
@@ -65,10 +64,8 @@ def test_sample_config_respects_limits_and_skips_fixed():
 def test_sample_config_advances_state_by_movable_count():
     wam = builtin_fixture("wam")
     state = SplitMix64(5)
-    reference = SplitMix64(5)
     sample_config(wam, state)
-    reference.advance(wam.movable_count)
-    assert state.state == reference.state
+    assert state.state == (5 + wam.movable_count * GOLDEN) & MASK64
 
 
 def test_sample_config_is_deterministic():
@@ -119,8 +116,10 @@ def test_joint_samples_needs_a_movable_joint():
 def test_state_for_sample_reconstructs_mid_stream():
     wam = builtin_fixture("wam")
     Q = joint_samples(wam, SampleSpec(n=64, seed=42))
+    m = wam.movable_count
     for k in (1, 2, 31, 64):
-        state = state_for_sample(42, k, wam.movable_count)
+        # the state just before sample k, from one multiply-add
+        state = SplitMix64((42 + (k - 1) * m * GOLDEN) & MASK64)
         assert np.array_equal(sample_config(wam, state), Q[k - 1])
 
 

@@ -11,7 +11,6 @@ from .kinematics import (
     RobotModel,
     fk_batch,
     forward_kinematics,
-    link_transform,
     reach_bound,
 )
 from .rng import SplitMix64, bulk_unit
@@ -21,7 +20,6 @@ from .robotfile import (
     fixture_names,
     fixture_source,
     parse_robot,
-    serialize_robot,
 )
 from .workspace import (
     PointCloud,
@@ -31,7 +29,6 @@ from .workspace import (
     generate_cloud,
     joint_samples,
     project,
-    reachable,
     sample_config,
     summarize,
     voxelize,
@@ -61,13 +58,10 @@ __all__ = [
     "forward_kinematics",
     "generate_cloud",
     "joint_samples",
-    "link_transform",
     "parse_robot",
     "project",
     "reach_bound",
-    "reachable",
     "sample_config",
-    "serialize_robot",
     "summarize",
     "voxelize",
 ]

@@ -38,7 +38,8 @@ _FORMAT_BLOCK = 16384
 
 #: codes for files that are well-formed text but describe a rejected model;
 #: any other error code means the text itself is broken
-_SEMANTIC_CODES = frozenset({"limits-inverted", "fixed-out-of-range", "all-joints-fixed"})
+_SEMANTIC_CODES = frozenset({"limits-inverted", "fixed-out-of-range", "all-joints-fixed",
+                             "range-overflow"})
 
 
 class _Failure(Exception):

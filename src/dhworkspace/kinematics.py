@@ -1,4 +1,4 @@
-"""Denavit-Hartenberg link transforms and serial-chain forward kinematics.
+"""Denavit-Hartenberg chains and their forward kinematics.
 
 All lengths are meters, all angles radians. A chain is an ordered list of
 links, each described by the four D-H parameters (a, alpha, d, theta); the
@@ -111,58 +111,23 @@ class RobotModel:
         return sum(1 for row in self.rows if row.movable)
 
 
-def link_transform(row: DHRow, q: float) -> np.ndarray:
-    """4x4 transform of one link for joint value q.
-
-    Equals RotZ(theta) @ TransZ(d) @ TransX(a) @ RotX(alpha) with
-    theta = theta_offset + q for revolute rows and d = row.d + q for
-    prismatic rows. Callers pass the fixed value for fixed rows.
-    """
-    q = float(q)
-    if not math.isfinite(q):
-        raise KinematicsError(f"joint value must be finite, got {q!r}")
-    if row.kind == REVOLUTE:
-        theta = row.theta_offset + q
-        d = row.d
-    else:
-        theta = row.theta_offset
-        d = row.d + q
-    ct, st = math.cos(theta), math.sin(theta)
-    ca, sa = math.cos(row.alpha), math.sin(row.alpha)
-    return np.array(
-        [
-            [ct, -st * ca, st * sa, row.a * ct],
-            [st, ct * ca, -ct * sa, row.a * st],
-            [0.0, sa, ca, d],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-
-
-def _resolve_config(model: RobotModel, config) -> list[float]:
-    """Validate a movable-joint configuration, return one value per row."""
-    values = [float(v) for v in np.asarray(config, dtype=np.float64).ravel()]
-    if len(values) != model.movable_count:
+def _resolve_config(model: RobotModel, config) -> np.ndarray:
+    """Validate a movable-joint configuration and return it as float64."""
+    q = np.asarray(config, dtype=np.float64).ravel()
+    if q.size != model.movable_count:
         raise JointArityError(
             f"model {model.name!r} has {model.movable_count} movable joints, "
-            f"got {len(values)} values"
+            f"got {q.size} values"
         )
-    per_row = []
-    it = iter(values)
-    for row in model.rows:
-        if row.fixed is not None:
-            per_row.append(row.fixed)
-            continue
-        q = next(it)
-        if not math.isfinite(q):
-            raise KinematicsError(f"joint {row.index}: value must be finite, got {q!r}")
+    for row, value in zip(model.movable_rows, q.tolist()):
+        if not math.isfinite(value):
+            raise KinematicsError(f"joint {row.index}: value must be finite, got {value!r}")
         lo, hi = row.limits
-        if q < lo:
-            raise JointLimitError(row.index, q, lo, "min")
-        if q > hi:
-            raise JointLimitError(row.index, q, hi, "max")
-        per_row.append(q)
-    return per_row
+        if value < lo:
+            raise JointLimitError(row.index, value, lo, "min")
+        if value > hi:
+            raise JointLimitError(row.index, value, hi, "max")
+    return q
 
 
 def forward_kinematics(model: RobotModel, config) -> np.ndarray:
@@ -170,12 +135,11 @@ def forward_kinematics(model: RobotModel, config) -> np.ndarray:
 
     config holds one value per movable row, in row order; fixed rows use
     their stored constant. Values outside a row's limits raise
-    JointLimitError rather than being clamped.
+    JointLimitError rather than being clamped. This is the checked
+    one-pose entry into fk_batch, so it gives the same bits as that pose's
+    row of any batch.
     """
-    T = np.eye(4)
-    for row, q in zip(model.rows, _resolve_config(model, config)):
-        T = T @ link_transform(row, q)
-    return T
+    return fk_batch(model, _resolve_config(model, config)[None])[0]
 
 
 #: configurations per block in fk_batch; the working set of one block stays
@@ -188,7 +152,7 @@ def fk_batch(model: RobotModel, configs: np.ndarray) -> np.ndarray:
 
     Returns an (n, 4, 4) array. Values are NOT limit-checked: this is the
     hot path for workspace sampling, where configurations are within limits
-    by construction. Agrees with forward_kinematics within 1e-13.
+    by construction; forward_kinematics is the checked entry for one pose.
     """
     Q = np.asarray(configs, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[1] != model.movable_count:

@@ -1,4 +1,4 @@
-"""Robot description files: parsing, validation, serialization, fixtures.
+"""Robot description files: parsing, validation and the packaged fixtures.
 
 The format is line-oriented. `#` starts a comment running to end of line,
 blank lines are ignored. A file holds two header directives followed by one
@@ -14,7 +14,9 @@ line per joint:
 decimal with optional sign and exponent; <angle> additionally accepts
 `pi`, `-pi`, `pi/<int>`, `-pi/<int>`. Angles are radians. Lengths are in
 the declared unit and converted to meters at load; for prismatic joints
-the limits and fixed value are lengths, so they convert too.
+the limits and fixed value are lengths, so they convert too. Every
+joint's max - min, and the sum of link lengths that bounds the reach, must
+be finite floats once converted.
 
 Parsing never raises on bad input: it reports Diagnostics with stable
 codes and 1-based line/column positions, and returns a model only when
@@ -29,7 +31,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .kinematics import JOINT_KINDS, PRISMATIC, DHRow, RobotModel
+from .kinematics import JOINT_KINDS, PRISMATIC, DHRow, RobotModel, reach_bound
 
 UNIT_FACTORS = {"m": 1.0, "cm": 0.01, "mm": 0.001}
 
@@ -40,6 +42,9 @@ _NUM_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z")
 #: pi/<den> needs den >= 1 and below float's range, so at most 308 digits
 _PI_RE = re.compile(r"(-?)pi(?:/0*([1-9]\d{0,307}))?\Z")
 _TOKEN_RE = re.compile(r"\S+")
+#: the line ends of universal-newlines mode; str.splitlines would also break
+#: at form feeds, U+0085, U+2028 and other characters inside a comment
+_LINE_END_RE = re.compile(r"\r\n|\r|\n")
 _ROBOT_RE = re.compile(r"\s*robot\s+\"([^\"]*)\"\s*\Z")
 
 #: value syntax per joint field: plain number, or number-or-pi-fraction
@@ -119,7 +124,7 @@ def parse_robot(source: str):
     joints = []
     header_missing_reported = set()
 
-    for lineno, raw in enumerate(source.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_END_RE.split(source), start=1):
         text = raw.split("#", 1)[0]
         tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(text)]
         if not tokens:
@@ -182,14 +187,18 @@ def parse_robot(source: str):
         return None, sorted(diags, key=lambda d: (d.line, d.column, d.code))
 
     factor = UNIT_FACTORS[units]
+    joints.sort(key=lambda j: j.index)
     rows = []
-    for j in sorted(joints, key=lambda j: j.index):
+    for j in joints:
         v = j.values
         lo, hi, fixed = v["min"], v["max"], v.get("fixed")
         if j.kind == PRISMATIC:
             lo, hi = lo * factor, hi * factor
             if fixed is not None:
                 fixed *= factor
+        if not math.isfinite(hi - lo):
+            diags.append(_err(j.line, j.cols["min"],
+                              f"joint {j.index}: max - min overflows a float", "range-overflow"))
         rows.append(DHRow(
             index=j.index,
             kind=j.kind,
@@ -201,6 +210,15 @@ def parse_robot(source: str):
             fixed=fixed,
         ))
     model = RobotModel(name=name, rows=tuple(rows), source_units=units)
+    if not math.isfinite(reach_bound(model)):
+        # report the joint at which the running sum first overflows
+        k = next(k for k in range(1, len(rows) + 1)
+                 if not math.isfinite(reach_bound(RobotModel(name, model.rows[:k]))))
+        j = joints[k - 1]
+        diags.append(_err(j.line, j.column, f"joint {j.index}: the sum of link lengths "
+                          "overflows a float", "range-overflow"))
+    if any(d.severity == ERROR for d in diags):
+        model = None
     return model, sorted(diags, key=lambda d: (d.line, d.column, d.code))
 
 
@@ -276,75 +294,6 @@ def _check_indices(joints, diags):
         diags.append(_err(j.line, j.column,
                           f"joint indices must be contiguous 1..{len(seen)}, got {sorted(seen)}",
                           "noncontiguous-indices"))
-
-
-def _unscale(value: float, factor: float) -> float:
-    """Inverse of the load-time unit conversion, exact where possible.
-
-    Returns w such that w * factor == value, nudging w by a few ulps if
-    plain division does not round-trip. Values that came from a parsed
-    file always have such a w; arbitrary programmatic values may not, in
-    which case the closest quotient is returned (reparse can then differ
-    in the last ulp).
-    """
-    if factor == 1.0:
-        return value
-    w = value / factor
-    if w * factor == value:
-        return w
-    for target in (math.inf, -math.inf):
-        cand = w
-        for _ in range(4):
-            cand = math.nextafter(cand, target)
-            if cand * factor == value:
-                return cand
-    return w
-
-
-def _fmt_num(value: float) -> str:
-    return "%.17g" % value
-
-
-def _fmt_angle(value: float) -> str:
-    """Canonical angle token: an exact pi fraction when the value is one."""
-    magnitude = abs(value)
-    if math.pi / 360 <= magnitude <= math.pi:
-        # math.pi / (math.pi / den) is within a few ulps of den
-        den = round(math.pi / magnitude)
-        if magnitude == math.pi / den:
-            return ("-" if value < 0 else "") + ("pi" if den == 1 else f"pi/{den}")
-    return _fmt_num(value)
-
-
-def serialize_robot(model: RobotModel) -> str:
-    """Canonical text for a model, in its source units.
-
-    Fields appear in a fixed order; angles that equal a pi fraction
-    exactly are written as pi tokens. parse_robot(serialize_robot(m))
-    reproduces m field for field.
-    """
-    factor = UNIT_FACTORS[model.source_units]
-
-    def _fmt_length(value):
-        return _fmt_num(_unscale(value, factor))
-
-    lines = [f'robot "{model.name}"', f"units {model.source_units}"]
-    for row in model.rows:
-        fmt_limit = _fmt_length if row.kind == PRISMATIC else _fmt_angle
-        parts = [
-            f"joint {row.index}",
-            f"type={row.kind}",
-            f"a={_fmt_length(row.a)}",
-            f"alpha={_fmt_angle(row.alpha)}",
-            f"d={_fmt_length(row.d)}",
-            f"offset={_fmt_angle(row.theta_offset)}",
-            f"min={fmt_limit(row.limits[0])}",
-            f"max={fmt_limit(row.limits[1])}",
-        ]
-        if row.fixed is not None:
-            parts.append(f"fixed={fmt_limit(row.fixed)}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
 
 
 _FIXTURE_FILES = {

@@ -177,19 +177,6 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
     return VoxelGrid(resolution, keys[distinct], lo, span)
 
 
-def reachable(grid: VoxelGrid, point) -> bool:
-    """Whether the point's voxel was hit by the sampled cloud."""
-    cell = np.floor(np.asarray(point, dtype=np.float64) / grid.resolution)
-    if not np.isfinite(cell).all():
-        return False
-    i, j, k = (int(c) - lo for c, lo in zip(cell.tolist(), grid.lo))
-    if not all(0 <= r < s for r, s in zip((i, j, k), grid.span)):
-        return False
-    key = (i * grid.span[1] + j) * grid.span[2] + k
-    pos = int(np.searchsorted(grid.keys, key))
-    return pos < grid.keys.size and int(grid.keys[pos]) == key
-
-
 def project(cloud: PointCloud, plane: str) -> np.ndarray:
     """(n, 2) view of the cloud: xy drops z, xz drops y, yz drops x."""
     columns = {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per shipped guarantee.
 
-Every test is self-contained: where a reference computation is needed it
-is written out here in plain Python (list-of-lists matrices, a scratch
-splitmix64) so nothing is checked against the code under test itself.
+Where a reference computation is needed it is written out in plain Python
+(list-of-lists matrices in fk_reference.py, a scratch splitmix64 here), so
+nothing is checked against the code under test itself.
 Timed guarantees assert wall-clock budgets via time.perf_counter.
 """
 
@@ -17,6 +17,7 @@ from dhworkspace import (
     PRISMATIC,
     REVOLUTE,
     DHRow,
+    RobotModel,
     SampleSpec,
     SplitMix64,
     builtin_fixture,
@@ -24,64 +25,18 @@ from dhworkspace import (
     fk_batch,
     forward_kinematics,
     generate_cloud,
+    fixture_source,
     joint_samples,
-    link_transform,
     parse_robot,
     reach_bound,
-    serialize_robot,
     summarize,
     voxelize,
 )
 from dhworkspace.cli import main
+from fk_reference import ref_ee, ref_link
 
 # ----------------------------------------------------------------------------
 # reference implementations (independent of the library internals)
-
-IDENTITY4 = [[1.0, 0.0, 0.0, 0.0],
-             [0.0, 1.0, 0.0, 0.0],
-             [0.0, 0.0, 1.0, 0.0],
-             [0.0, 0.0, 0.0, 1.0]]
-
-
-def ref_matmul(A, B):
-    return [[sum(A[i][k] * B[k][j] for k in range(4)) for j in range(4)]
-            for i in range(4)]
-
-
-def ref_rot_z(t):
-    c, s = math.cos(t), math.sin(t)
-    return [[c, -s, 0.0, 0.0], [s, c, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
-
-
-def ref_rot_x(t):
-    c, s = math.cos(t), math.sin(t)
-    return [[1.0, 0.0, 0.0, 0.0], [0.0, c, -s, 0.0],
-            [0.0, s, c, 0.0], [0.0, 0.0, 0.0, 1.0]]
-
-
-def ref_translate(x, z):
-    return [[1.0, 0.0, 0.0, x], [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, z], [0.0, 0.0, 0.0, 1.0]]
-
-
-def ref_link(a, alpha, d, theta):
-    # Rz(theta) * Tz(d) * Tx(a) * Rx(alpha), composed pairwise
-    left = ref_matmul(ref_rot_z(theta), ref_translate(0.0, d))
-    right = ref_matmul(ref_translate(a, 0.0), ref_rot_x(alpha))
-    return ref_matmul(left, right)
-
-
-def ref_ee(model, per_row_q):
-    T = IDENTITY4
-    for row, q in zip(model.rows, per_row_q):
-        if row.fixed is not None:
-            q = row.fixed
-        theta = row.theta_offset + (q if row.kind == REVOLUTE else 0.0)
-        d = row.d + (0.0 if row.kind == REVOLUTE else q)
-        T = ref_matmul(T, ref_link(row.a, row.alpha, d, theta))
-    return T[0][3], T[1][3], T[2][3]
-
 
 def scratch_splitmix64(seed):
     mask = (1 << 64) - 1
@@ -97,7 +52,8 @@ def scratch_splitmix64(seed):
 # ----------------------------------------------------------------------------
 
 def test_link_transform_matches_elementary_factor_product():
-    """1000 random rows: entrywise agreement with Rz*Tz*Tx*Rx to 1e-12, < 1 s."""
+    """1000 random one-link chains: forward_kinematics agrees entrywise with
+    the reference Rz*Tz*Tx*Rx to 1e-12, < 1 s."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(2026)
     worst = 0.0
@@ -108,7 +64,7 @@ def test_link_transform_matches_elementary_factor_product():
         q = float(rng.uniform(-3.0, 3.0))
         row = DHRow(index=1, kind=kind, a=float(a), alpha=float(alpha),
                     d=float(d), theta_offset=float(offset), limits=(-10.0, 10.0))
-        got = link_transform(row, q)
+        got = forward_kinematics(RobotModel(name="link", rows=(row,)), [q])
         theta = offset + (q if kind == REVOLUTE else 0.0)
         depth = d + (0.0 if kind == REVOLUTE else q)
         want = ref_link(float(a), float(alpha), depth, theta)
@@ -146,7 +102,7 @@ def test_zero_config_end_effector_positions():
         model = builtin_fixture(name)
         zeros = [0.0] * model.movable_count
         got = forward_kinematics(model, zeros)[:3, 3]
-        want = ref_ee(model, [0.0] * len(model.rows))
+        want = ref_ee(model, zeros)
         assert np.abs(got - np.array(want)).max() <= 1e-12, name
         assert np.abs(got - np.array(literal)).max() <= 1e-12, name
 
@@ -170,7 +126,7 @@ def test_wam_cloud_respects_reach_envelope():
     for q2 in axis2:
         for q3 in axis3:
             for q4 in axis4:
-                x, y, z = ref_ee(model, [0.0, q2, q3, q4, 0.0, 0.0, 0.0])
+                x, y, z = ref_ee(model, [q2, q3, q4, 0.0, 0.0, 0.0])
                 grid_max = max(grid_max, math.sqrt(x * x + y * y + z * z))
     assert grid_max >= 0.85
     assert float(radii.max()) >= grid_max - 0.05  # sampling reaches near the grid optimum
@@ -272,17 +228,15 @@ MALFORMED = [
 
 
 def test_parser_accepts_fixtures_and_rejects_malformed():
-    """The three bundled fixtures parse with no diagnostics and round-trip
-    through the serializer; 14 malformed inputs each yield the expected
-    diagnostic code at the expected line; 10000 fuzzed inputs never raise
-    and never yield a model together with errors. Under 10 s."""
+    """The three bundled fixtures parse with no diagnostics; 15 malformed
+    inputs each yield the expected diagnostic code at the expected line;
+    10000 fuzzed inputs never raise and never yield a model together with
+    errors. Under 10 s."""
     t0 = time.perf_counter()
     for name in ("smokie", "wam", "wam-code-variant"):
-        model = builtin_fixture(name)
-        text = serialize_robot(model)
-        again, diags = parse_robot(text)
+        model, diags = parse_robot(fixture_source(name))
         assert not diags
-        assert again == model
+        assert model == builtin_fixture(name)
 
     for source, code, line in MALFORMED:
         model, diags = parse_robot(source)

@@ -63,6 +63,36 @@ def test_validate_semantic_error_exits_3(tmp_path, capsys):
     assert "[limits-inverted]" in err
 
 
+#: files whose numbers are finite but whose max - min, or whose summed link
+#: lengths, overflow a float
+OVERFLOWING = {
+    "span": GOOD.replace("min=-1 max=1", "min=-1e308 max=1e308"),
+    "lengths": 'robot "T"\nunits m\n'
+               "joint 1 type=revolute a=1e308 alpha=0 d=0 offset=0 min=-1 max=1\n"
+               "joint 2 type=revolute a=1e308 alpha=0 d=0 offset=0 min=-1 max=1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING))
+@pytest.mark.parametrize("command", [
+    ["validate"],
+    ["fk", "--q", "0,0"],
+    ["workspace", "--samples", "100", "--out"],
+    ["project", "--samples", "100", "--plane", "xy", "--out"],
+    ["volume", "--samples", "100"],
+], ids=lambda command: command[0])
+def test_overflowing_ranges_exit_3(tmp_path, capsys, case, command):
+    path = tmp_path / "t.robot"
+    path.write_text(OVERFLOWING[case])
+    argv = [command[0], str(path), *command[1:]]
+    if argv[-1] == "--out":
+        argv.append(str(tmp_path / "out.csv"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert len([line for line in err.splitlines() if "[range-overflow]" in line]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["t.robot"]
+
+
 # --- fk ------------------------------------------------------------------------
 
 def test_fk_wam_zero_config_golden(capsys):

@@ -5,13 +5,21 @@ fixture, from `--samples 49159 --seed 42` on wam (3 * 16384 + 7 rows, so
 the last 16384-row block is partial), or from `fk` at a configuration whose
 transform prints a `-0.000000000` entry. A change that moves a byte of any output must update the digest
 here on purpose and say why in CHANGES.md; a test that only compares a run
-with a second run of the same code cannot catch such drift.
+with a second run of the same code cannot catch such drift. One test also
+recomputes the fk digests and a CSV digest in a child process whose numpy
+dispatches no AVX2 or AVX-512 code.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dhworkspace
 from dhworkspace.cli import main
 
 FIXTURES = ("smokie", "wam", "wam-code-variant")
@@ -113,3 +121,48 @@ def test_fk_digest_is_frozen(capsys, fixture):
     out = capsys.readouterr().out
     assert "-0.000000000" in out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+#: numpy's SIMD dispatch cut to the x86-64-v2 baseline, as on an older CPU
+BASELINE_SIMD = "AVX512_ICL AVX512_SPR X86_V4 X86_V3"
+
+#: recomputes digests in a child process; argv[1] is a JSON list of
+#: [argv, out_path_or_null] jobs, stdout is the JSON list of digests and the
+#: dispatch features still enabled
+_CHILD = """
+import contextlib, hashlib, io, json, sys
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+from dhworkspace.cli import main
+
+digests = []
+for argv, out in json.loads(sys.argv[1]):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    data = open(out, "rb").read() if out else stdout.getvalue().encode("utf-8")
+    digests.append(hashlib.sha256(data).hexdigest())
+enabled = [f for f in sys.argv[2].split() if __cpu_features__.get(f)]
+print(json.dumps({"digests": digests, "enabled": enabled}))
+"""
+
+
+def test_digests_hold_with_baseline_simd(tmp_path):
+    """The fk digests and the block-crossing CSV digest, recomputed in a
+    child process whose numpy may not dispatch to AVX2 or AVX-512 code."""
+    out = str(tmp_path / "cloud.csv")
+    jobs = [[["fk", f"builtin:{fixture}", f"--q={q}", "--degrees"], None]
+            for fixture, (q, _) in sorted(GOLDEN_FK.items())]
+    jobs.append([["workspace", "builtin:wam", *BLOCK_SAMPLING, "--out", out], out])
+    package_parent = str(Path(dhworkspace.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath, "NPY_DISABLE_CPU_FEATURES": BASELINE_SIMD}
+    child = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(jobs), BASELINE_SIMD],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout)
+    assert result["enabled"] == []
+    expected = [digest for _, (_, digest) in sorted(GOLDEN_FK.items())]
+    assert result["digests"] == expected + [GOLDEN_BLOCKS["csv"]]

@@ -1,4 +1,5 @@
-"""Link transforms, chain composition, and the joint-value contract."""
+"""Link transforms, chain composition, and the joint-value contract, checked
+against the pure-Python reference in fk_reference.py."""
 
 import math
 
@@ -17,10 +18,13 @@ from dhworkspace import (
     builtin_fixture,
     fk_batch,
     forward_kinematics,
-    link_transform,
     reach_bound,
 )
 from dhworkspace.kinematics import _BLOCK as BLOCK
+from fk_reference import ref_fk
+
+#: entrywise bound on the kernel's distance from the pure-Python reference
+TOL = 1e-14
 
 
 def row(index=1, kind=REVOLUTE, a=0.0, alpha=0.0, d=0.0, offset=0.0,
@@ -33,15 +37,15 @@ def one_joint(r):
     return RobotModel(name="test", rows=(r,))
 
 
-# --- link_transform -------------------------------------------------------
+# --- one link ---------------------------------------------------------------
 
 def test_zero_row_is_identity():
-    assert np.array_equal(link_transform(row(), 0.0), np.eye(4))
+    assert np.array_equal(forward_kinematics(one_joint(row()), [0.0]), np.eye(4))
 
 
 def test_quarter_turn_twist_golden():
     # a=0, alpha=pi/2, d=0, q=pi/2: z axis maps onto x, well-known corner case
-    T = link_transform(row(alpha=math.pi / 2), math.pi / 2)
+    T = forward_kinematics(one_joint(row(alpha=math.pi / 2)), [math.pi / 2])
     expected = np.array([
         [0.0, 0.0, 1.0, 0.0],
         [1.0, 0.0, 0.0, 0.0],
@@ -52,7 +56,7 @@ def test_quarter_turn_twist_golden():
 
 
 def test_revolute_variable_goes_to_theta():
-    T = link_transform(row(a=2.0), math.pi / 2)
+    T = forward_kinematics(one_joint(row(a=2.0)), [math.pi / 2])
     # rotation about z plus the link offset a along the rotated x
     nt.assert_allclose(T[:3, 3], [0.0, 2.0, 0.0], atol=1e-12)
     nt.assert_allclose(T[:2, :2], [[0.0, -1.0], [1.0, 0.0]], atol=1e-12)
@@ -60,29 +64,30 @@ def test_revolute_variable_goes_to_theta():
 
 def test_prismatic_variable_goes_to_d():
     r = row(kind=PRISMATIC, d=0.5, limits=(-1.0, 1.0))
-    T = link_transform(r, 0.25)
+    T = forward_kinematics(one_joint(r), [0.25])
     assert T[2, 3] == 0.75
     nt.assert_allclose(T[:3, :3], np.eye(3))
 
 
 def test_theta_offset_adds_to_revolute_q():
     assert np.array_equal(
-        link_transform(row(offset=0.3), 0.4),
-        link_transform(row(), 0.7),
+        forward_kinematics(one_joint(row(offset=0.3)), [0.4]),
+        forward_kinematics(one_joint(row()), [0.7]),
     )
 
 
 def test_prismatic_theta_offset_is_constant_rotation():
     r = row(kind=PRISMATIC, offset=math.pi / 2, limits=(0.0, 1.0))
-    T = link_transform(r, 0.0)
+    T = forward_kinematics(one_joint(r), [0.0])
     nt.assert_allclose(T[:2, :2], [[0.0, -1.0], [1.0, 0.0]], atol=1e-12)
 
 
 def test_nonfinite_q_rejected():
-    with pytest.raises(KinematicsError):
-        link_transform(row(), math.nan)
-    with pytest.raises(KinematicsError):
-        link_transform(row(), math.inf)
+    # named as not finite, although an infinite value also breaks a limit
+    wam = builtin_fixture("wam")
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(KinematicsError, match="joint 3: value must be finite"):
+            forward_kinematics(wam, [0.0, bad, 0.0, 0.0, 0.0, 0.0])
 
 
 def test_rotation_block_orthonormal_randomized():
@@ -90,7 +95,7 @@ def test_rotation_block_orthonormal_randomized():
     for _ in range(200):
         r = row(a=rng.uniform(-2, 2), alpha=rng.uniform(-4, 4),
                 d=rng.uniform(-2, 2), offset=rng.uniform(-4, 4))
-        R = link_transform(r, rng.uniform(-3, 3))[:3, :3]
+        R = forward_kinematics(one_joint(r), [rng.uniform(-3, 3)])[:3, :3]
         nt.assert_allclose(R @ R.T, np.eye(3), atol=1e-12)
         nt.assert_allclose(np.linalg.det(R), 1.0, atol=1e-12)
 
@@ -153,13 +158,9 @@ def test_frame_chain_accumulates():
         row(4, kind=PRISMATIC, a=0.2, alpha=2.0, limits=(-0.5, 0.5)),
     ))
     wam = builtin_fixture("wam")  # row 1 fixed at 0
-    cases = [(mixed, [0.8, -0.25], [0.8, 0.4, -0.9, -0.25]),
-             (wam, [0.1, -0.2, 0.3, 0.0, 0.5, -0.6], [0.0, 0.1, -0.2, 0.3, 0.0, 0.5, -0.6])]
-    for model, q, per_row in cases:
-        expected = np.eye(4)
-        for row_k, q_k in zip(model.rows, per_row):
-            expected = expected @ link_transform(row_k, q_k)
-        assert np.array_equal(forward_kinematics(model, q), expected)
+    cases = [(mixed, [0.8, -0.25]), (wam, [0.1, -0.2, 0.3, 0.0, 0.5, -0.6])]
+    for model, q in cases:
+        nt.assert_allclose(forward_kinematics(model, q), ref_fk(model, q), rtol=0, atol=TOL)
 
 
 def test_fixed_rows_consume_no_values():
@@ -211,7 +212,7 @@ def test_fk_batch_matches_scalar_path():
         Q = rng.uniform(lims[:, 0], lims[:, 1], size=(40, len(lims)))
         batch = fk_batch(model, Q)
         for k in range(Q.shape[0]):
-            nt.assert_allclose(batch[k], forward_kinematics(model, Q[k]), atol=1e-13)
+            nt.assert_allclose(batch[k], ref_fk(model, Q[k]), rtol=0, atol=TOL)
 
 
 def test_fk_batch_prefix_is_bitwise_stable():
@@ -243,7 +244,7 @@ def test_fk_batch_handles_prismatic_and_fixed_rows():
     Q = np.array([[0.3, 0.7], [-1.2, 0.05]])
     batch = fk_batch(m, Q)
     for k in range(2):
-        nt.assert_allclose(batch[k], forward_kinematics(m, Q[k]), atol=1e-14)
+        nt.assert_allclose(batch[k], ref_fk(m, Q[k]), rtol=0, atol=TOL)
 
 
 def test_fk_batch_matches_scalar_path_across_block_boundaries():
@@ -260,11 +261,20 @@ def test_fk_batch_matches_scalar_path_across_block_boundaries():
     lims = np.array([r.limits for r in m.movable_rows])
     Q = np.random.default_rng(17).uniform(lims[:, 0], lims[:, 1],
                                           size=(max(sizes), len(lims)))
-    reference = np.array([forward_kinematics(m, q) for q in Q])
+    full = fk_batch(m, Q)
+    # the pure-Python reference is slow, so it checks the full batch on
+    # either side of every block boundary and at random rows; each shorter
+    # batch must equal the full batch's prefix
+    picks = {0, len(Q) - 1}
+    for edge in range(BLOCK, len(Q), BLOCK):
+        picks |= {edge - 2, edge - 1, edge, edge + 1}
+    picks |= set(np.random.default_rng(18).choice(len(Q), 32, replace=False).tolist())
+    for k in sorted(picks):
+        nt.assert_allclose(full[k], ref_fk(m, Q[k]), rtol=0, atol=TOL)
     for n in sizes:
         batch = fk_batch(m, Q[:n])
         assert batch.shape == (n, 4, 4)
-        nt.assert_allclose(batch, reference[:n], rtol=0, atol=1e-13)
+        assert np.array_equal(batch, full[:n])
 
 
 # --- reach_bound ------------------------------------------------------------

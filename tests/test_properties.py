@@ -1,10 +1,8 @@
 """Property tests of the packed voxel keys and the summary on generated
-clouds, of the CLI's block formatter on generated tables, of batched
-against scalar FK on generated chains, and of the robot file round trip
-on generated text."""
+clouds, of the CLI's block formatter on generated tables, and of the FK
+kernel against the pure-Python reference on generated chains."""
 
 import math
-from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -20,11 +18,10 @@ from dhworkspace import (
     cli,
     fk_batch,
     forward_kinematics,
-    parse_robot,
-    serialize_robot,
     summarize,
     voxelize,
 )
+from fk_reference import ref_fk
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -94,7 +91,7 @@ def test_rows_text_matches_per_value_reference(table, block, sep):
         assert cli._csv_lines("h", table) == "h\n" + reference_rows(table, ",")
 
 
-# --- fk_batch against forward_kinematics ----------------------------------------
+# --- fk_batch against the reference and forward_kinematics ----------------------------------------
 
 lengths = st.floats(min_value=-2.0, max_value=2.0)
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
@@ -123,66 +120,6 @@ def test_fk_batch_matches_forward_kinematics(model, data):
     configs = data.draw(st.lists(within_limits, min_size=1, max_size=4))
     Q = np.array(configs, dtype=np.float64).reshape(len(configs), model.movable_count)
     for T, q in zip(fk_batch(model, Q), Q):
-        reference = forward_kinematics(model, q)
-        nt.assert_allclose(T[:3, 3], reference[:3, 3], rtol=0, atol=1e-12)
-        nt.assert_allclose(T[:3, :3], reference[:3, :3], rtol=0, atol=1e-12)
-
-
-# --- robot file round trip ------------------------------------------------------
-
-def decimal_text(limit):
-    """Decimal tokens such as 1500, -12.5 or 0.003, |value| <= limit."""
-    def with_places(places):
-        bound = int(limit * 10 ** places)
-        return st.integers(min_value=-bound, max_value=bound).map(
-            lambda k: str(Decimal(k).scaleb(-places)))
-    return st.integers(min_value=0, max_value=6).flatmap(with_places)
-
-
-pi_text = st.tuples(st.sampled_from(["", "-"]), st.none() | st.integers(min_value=1, max_value=1000)).map(
-    lambda t: t[0] + "pi" + ("" if t[1] is None else f"/{t[1]}"))
-angle_text = decimal_text(2 * math.pi) | pi_text
-length_text = decimal_text(1000)
-
-
-def token_value(token):
-    if "pi" not in token:
-        return float(token)
-    sign, _, den = token.partition("pi")
-    value = math.pi / int(den[1:]) if den else math.pi
-    return -value if sign else value
-
-
-@st.composite
-def joint_lines(draw, index):
-    kind = draw(st.sampled_from([REVOLUTE, PRISMATIC]))
-    limit_text = angle_text if kind == REVOLUTE else length_text
-    lo, hi = sorted((draw(limit_text), draw(limit_text)), key=token_value)
-    fields = [f"joint {index}", f"type={kind}", f"a={draw(length_text)}",
-              f"alpha={draw(angle_text)}", f"d={draw(length_text)}",
-              f"offset={draw(angle_text)}", f"min={lo}", f"max={hi}"]
-    fixed = draw(st.sampled_from([None, lo, hi]))
-    if fixed is not None:
-        fields.append(f"fixed={fixed}")
-    return " ".join(fields)
-
-
-robot_texts = st.tuples(
-    st.text(alphabet="abcXYZ019 -_", min_size=1, max_size=12),
-    st.sampled_from(["m", "cm", "mm"]),
-    st.integers(min_value=1, max_value=7).flatmap(
-        lambda k: st.tuples(*[joint_lines(i) for i in range(1, k + 1)])),
-).map(lambda t: f'robot "{t[0]}"\nunits {t[1]}\n' + "\n".join(t[2]) + "\n")
-
-
-@settings(deadline=None)
-@given(robot_texts)
-def test_parse_serialize_parse_gives_an_equal_model(text):
-    model, diags = parse_robot(text)
-    if model is None:
-        # the only error generated text can carry: every joint fixed
-        assert {d.code for d in diags if d.severity == "error"} == {"all-joints-fixed"}
-        return
-    again, again_diags = parse_robot(serialize_robot(model))
-    assert again == model
-    assert [d.code for d in again_diags] == [d.code for d in diags]
+        nt.assert_allclose(T, ref_fk(model, q), rtol=0, atol=1e-12)
+        # the one-pose entry runs the same kernel: the same bits
+        assert np.array_equal(forward_kinematics(model, q), T)

@@ -1,4 +1,4 @@
-"""Description-file parsing, diagnostics, serialization, fixtures."""
+"""Description-file parsing, diagnostics, fixtures."""
 
 import math
 
@@ -6,17 +6,12 @@ import numpy as np
 import pytest
 
 from dhworkspace import (
-    PRISMATIC,
     REVOLUTE,
-    DHRow,
-    RobotModel,
     builtin_fixture,
     fixture_names,
     fixture_source,
     parse_robot,
-    serialize_robot,
 )
-from dhworkspace.robotfile import _fmt_angle
 
 H = 'robot "T"\nunits m\n'
 OK = "joint 1 type=revolute a=0 alpha=0 d=0 offset=0 min=-1 max=1\n"
@@ -157,6 +152,40 @@ def test_malformed_input_diagnostics(case, source, code, line, token):
         assert diag.column == expected_col
 
 
+#: characters that str.splitlines breaks at but that end no line of a
+#: .robot file; inside a comment they must not start a new line
+COMMENT_CHARACTERS = [
+    ("vertical-tab", "\x0b"),
+    ("form-feed", "\x0c"),
+    ("file-separator", "\x1c"),
+    ("group-separator", "\x1d"),
+    ("record-separator", "\x1e"),
+    ("next-line", "\x85"),
+    ("line-separator", "\u2028"),
+    ("paragraph-separator", "\u2029"),
+]
+
+
+@pytest.mark.parametrize("char", [c for _, c in COMMENT_CHARACTERS],
+                         ids=[name for name, _ in COMMENT_CHARACTERS])
+def test_comment_characters_do_not_end_a_line(char):
+    src = (f'robot "T"  # a{char}next\nunits m\n# c{char}b\n'
+           "joint 1 type=revolute a=0 alpha=0 d=0 offset=0 min=1 max=1\n"
+           f"joint 2 type=revolute a=0 alpha=0 d=0 offset=0 min=-1 max=1 # {char}fixed=9\n")
+    model, diags = parse_robot(src)
+    assert model is not None and len(model.rows) == 2
+    assert [(d.code, d.line, d.column) for d in diags] == [("zero-span-limits", 4, 48)]
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_end_lines(end):
+    src = H + OK + "joint 2 type=revolute a=0 alpha=0 d=0 offset=0 min=2 max=1\n"
+    _, want = parse_robot(src)
+    _, got = parse_robot(src.replace("\n", end))
+    assert [(d.code, d.line, d.column) for d in got] == [("limits-inverted", 4, 48)]
+    assert got == want
+
+
 def test_model_and_error_diagnostics_are_exclusive():
     for _, source, _, _, _ in MALFORMED:
         model, diags = parse_robot(source)
@@ -198,134 +227,27 @@ def test_parser_survives_small_fuzz():
         assert (model is None) == bool(errors(diags))
 
 
-# --- serialization ----------------------------------------------------------
-
-@pytest.mark.parametrize("name", ["smokie", "wam", "wam-code-variant"])
-def test_fixture_round_trip(name):
-    model = builtin_fixture(name)
-    text = serialize_robot(model)
-    again, diags = parse_robot(text)
-    assert errors(diags) == []
-    assert again == model
-    assert serialize_robot(again) == text
-
-
-def test_serializer_emits_pi_tokens():
-    text = serialize_robot(builtin_fixture("smokie"))
-    assert "alpha=pi/2" in text
-    assert "alpha=-pi/2" in text
-    assert "min=-pi max=pi" in text
-
-
-def test_serializer_emits_fixed():
-    text = serialize_robot(builtin_fixture("wam"))
-    assert text.splitlines()[2].endswith("fixed=0")
-
-
-def test_serializer_keeps_original_units():
-    text = serialize_robot(builtin_fixture("smokie"))
-    assert text.splitlines()[1] == "units cm"
-    assert " a=43 " in text
-
+# --- exact values -------------------------------------------------------------
 
 def test_near_pi_values_stay_decimal():
-    # only exact pi fractions become tokens; a value one ulp off must
-    # round-trip as a decimal, not get snapped to pi
+    # only pi tokens give pi fractions; a decimal one ulp off pi is read
+    # as written, not snapped to pi
     almost = math.nextafter(math.pi, 4.0)
-    model = RobotModel(name="t", rows=(
-        DHRow(index=1, kind=REVOLUTE, a=0.0, alpha=almost, d=0.0,
-              limits=(-4.0, 4.0)),))
-    again, _ = parse_robot(serialize_robot(model))
-    assert again.rows[0].alpha == almost
-    assert "alpha=pi" not in serialize_robot(model)
-
-
-def _angle_by_search(value):
-    # reference: compare with pi/den for every den in 1..360
-    if math.pi / 360 <= abs(value) <= math.pi:
-        for den in range(1, 361):
-            ref = math.pi / den
-            if value == ref:
-                return "pi" if den == 1 else f"pi/{den}"
-            if value == -ref:
-                return "-pi" if den == 1 else f"-pi/{den}"
-    return "%.17g" % value
-
-
-def test_angle_tokens_match_a_search_over_denominators():
-    values = [0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan, 2 * math.pi,
-              math.pi / 361, math.pi / 360.5, 1.0]
-    for den in range(1, 361):
-        for ref in (math.pi / den, -math.pi / den):
-            values += [ref, math.nextafter(ref, math.inf), math.nextafter(ref, -math.inf)]
-    for value in values:
-        assert _fmt_angle(value) == _angle_by_search(value), value
-    assert _fmt_angle(-math.pi / 7) == "-pi/7"
-    assert _fmt_angle(math.pi) == "pi"
+    model, diags = parse_robot(H + f"joint 1 type=revolute a=0 alpha={almost!r} d=0 "
+                               "offset=0 min=-4 max=4\n")
+    assert diags == []
+    assert model.rows[0].alpha == almost
 
 
 def test_awkward_decimals_round_trip():
-    model = RobotModel(name="t", rows=(
-        DHRow(index=1, kind=REVOLUTE, a=0.12345678901234567, alpha=1e-17,
-              d=-33.6, theta_offset=0.1 + 0.2, limits=(-8.0, 8.0)),))
-    again, _ = parse_robot(serialize_robot(model))
+    # the repr of a parsed value is a token that parses back to the same float
+    line = "joint 1 type=revolute a={} alpha={} d={} offset={} min=-8 max=8\n"
+    model, _ = parse_robot(H + line.format("0.12345678901234567", "1e-17", "-33.6",
+                                           "0.30000000000000004"))
+    r = model.rows[0]
+    assert r.theta_offset == 0.1 + 0.2
+    again, _ = parse_robot(H + line.format(*map(repr, (r.a, r.alpha, r.d, r.theta_offset))))
     assert again == model
-
-
-def test_random_models_round_trip():
-    rng = np.random.default_rng(21)
-    angles = [0.0, math.pi, -math.pi / 2, math.pi / 7, 0.25, -1.5]
-    for _ in range(100):
-        n = int(rng.integers(1, 6))
-        rows = []
-        for i in range(1, n + 1):
-            prismatic = bool(rng.integers(0, 2))
-            lo = float(rng.uniform(-3, 0))
-            hi = float(rng.uniform(0, 3))
-            rows.append(DHRow(
-                index=i,
-                kind=PRISMATIC if prismatic else REVOLUTE,
-                a=float(rng.uniform(-2, 2)),
-                alpha=angles[int(rng.integers(0, len(angles)))],
-                d=float(rng.uniform(-2, 2)),
-                theta_offset=angles[int(rng.integers(0, len(angles)))],
-                limits=(lo, hi),
-                fixed=float(rng.uniform(lo, hi)) if rng.integers(0, 4) == 0 else None,
-            ))
-        if all(r.fixed is not None for r in rows):
-            rows[0] = DHRow(index=1, kind=rows[0].kind, a=rows[0].a,
-                            alpha=rows[0].alpha, d=rows[0].d,
-                            theta_offset=rows[0].theta_offset,
-                            limits=rows[0].limits, fixed=None)
-        model = RobotModel(name="rand", rows=tuple(rows))
-        again, diags = parse_robot(serialize_robot(model))
-        assert errors(diags) == []
-        assert again == model
-
-
-def test_random_cm_files_round_trip():
-    # values that came out of a parse always serialize back exactly,
-    # whatever the declared unit
-    rng = np.random.default_rng(22)
-    for _ in range(100):
-        a = round(float(rng.uniform(-500, 500)), 6)
-        d = round(float(rng.uniform(-500, 500)), 6)
-        src = ('robot "R"\nunits cm\n'
-               f"joint 1 type=revolute a={a!r} alpha=0.25 d={d!r} offset=0 min=-2 max=2\n")
-        first, _ = parse_robot(src)
-        again, _ = parse_robot(serialize_robot(first))
-        assert again == first
-
-
-def test_serialize_then_parse_is_stable_for_programmatic_models():
-    # second round trip is the identity even when the first one had to
-    # settle for the nearest representable quotient
-    model = RobotModel(name="t", source_units="cm", rows=(
-        DHRow(index=1, kind=REVOLUTE, a=0.1 + 0.2, alpha=0.0, d=1.0 / 3.0,
-              limits=(-1.0, 1.0)),))
-    once, _ = parse_robot(serialize_robot(model))
-    twice, _ = parse_robot(serialize_robot(once))
-    assert once == twice
 
 
 # --- fixtures ---------------------------------------------------------------

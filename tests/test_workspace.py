@@ -14,17 +14,16 @@ from dhworkspace import (
     RobotModel,
     SampleSpec,
     builtin_fixture,
-    forward_kinematics,
     generate_cloud,
     joint_samples,
     project,
     reach_bound,
-    reachable,
     sample_config,
     summarize,
     voxelize,
 )
 from dhworkspace.rng import GOLDEN, MASK64, SplitMix64
+from fk_reference import ref_ee
 
 
 def limits_matrix(model):
@@ -140,8 +139,7 @@ def test_cloud_matches_per_sample_fk():
     state = SplitMix64(3)
     for k in range(20):
         q = sample_config(smokie, state)
-        nt.assert_allclose(cloud.points[k], forward_kinematics(smokie, q)[:3, 3],
-                           atol=1e-13)
+        nt.assert_allclose(cloud.points[k], ref_ee(smokie, q), rtol=0, atol=1e-13)
 
 
 def test_cloud_is_deterministic():
@@ -192,7 +190,7 @@ def test_point_cloud_shape_is_checked():
         PointCloud(points=np.zeros((3, 3)), robot="x", seed=0, n=4)
 
 
-# --- voxelize / reachable ------------------------------------------------------
+# --- voxelize ------------------------------------------------------------------
 
 def test_voxel_floor_rule():
     grid = voxelize(cloud_of([[0.005, 0.005, 0.005]]), 0.01)
@@ -245,21 +243,21 @@ def test_voxel_count_matches_tuple_set_with_negative_coordinates():
         expected = set(map(tuple, np.floor(points / resolution).astype(np.int64).tolist()))
         assert grid.occupied_count == len(expected)
         assert grid.occupied == expected
-        assert all(reachable(grid, p) for p in points)
 
 
 def test_reachable_is_false_outside_the_grid_box():
+    # no voxel outside the cloud's bounding box is occupied
     points = np.random.default_rng(8).uniform(-0.5, 0.5, size=(400, 3))
     grid = voxelize(cloud_of(points), 0.1)
-    lo, hi = points.min(axis=0), points.max(axis=0)
+    lo = np.floor(points.min(axis=0) / 0.1).astype(int)
+    hi = np.floor(points.max(axis=0) / 0.1).astype(int)
+    cells = np.array(sorted(grid.occupied))
+    assert (cells >= lo).all() and (cells <= hi).all()
     for axis in range(3):
-        for outside in (lo[axis] - 0.1, hi[axis] + 0.1):
-            p = points[0].copy()
-            p[axis] = outside
-            assert not reachable(grid, p)
-    for bad in (math.inf, -math.inf, math.nan):
-        assert not reachable(grid, (bad, 0.0, 0.0))
-    assert not reachable(voxelize(cloud_of(np.empty((0, 3))), 0.1), (0.0, 0.0, 0.0))
+        for outside in (lo[axis] - 1, hi[axis] + 1):
+            cell = np.floor(points[0] / 0.1).astype(int)
+            cell[axis] = outside
+            assert tuple(cell.tolist()) not in grid.occupied
 
 
 def test_voxel_order_independence():
@@ -277,14 +275,20 @@ def test_volume_estimate_identity():
 def test_every_cloud_point_is_reachable_in_its_grid():
     cloud = generate_cloud(builtin_fixture("smokie"), SampleSpec(n=500, seed=6))
     grid = voxelize(cloud, 0.02)
-    assert all(reachable(grid, p) for p in cloud.points)
+    assert set(map(tuple, np.floor(cloud.points / 0.02).astype(int).tolist())) <= grid.occupied
 
 
 def test_point_beyond_reach_bound_is_unreachable():
+    # every occupied voxel has a point within the reach bound, so a voxel
+    # beyond it is never occupied
     model = builtin_fixture("wam")
+    bound = reach_bound(model)
     grid = voxelize(generate_cloud(model, SampleSpec(n=2000, seed=42)), 0.05)
-    far = np.array([reach_bound(model) + 0.5, 0.0, 0.0])
-    assert not reachable(grid, far)
+    cells = np.array(sorted(grid.occupied))
+    nearest = np.clip(0.0, cells * 0.05, (cells + 1) * 0.05)
+    assert (np.linalg.norm(nearest, axis=1) <= bound).all()
+    far = np.floor(np.array([bound + 0.5, 0.0, 0.0]) / 0.05).astype(int)
+    assert tuple(far.tolist()) not in grid.occupied
 
 
 def test_voxel_prefix_subset():
@@ -356,7 +360,8 @@ def test_interior_point_is_well_sampled():
     # so a 20k-sample grid at 5 cm reliably covers it
     wam = builtin_fixture("wam")
     grid = voxelize(generate_cloud(wam, SampleSpec(n=20000, seed=42)), 0.05)
-    assert reachable(grid, (0.0, 0.0, 0.91))
+    cell = np.floor(np.array([0.0, 0.0, 0.91]) / 0.05).astype(int)
+    assert tuple(cell.tolist()) in grid.occupied
 
 
 def test_workspace_is_rotationally_symmetric_about_base():

@@ -25,11 +25,9 @@ from .workspace import (
     PointCloud,
     SampleSpec,
     VoxelGrid,
-    WorkspaceSummary,
     generate_cloud,
     joint_samples,
     project,
-    sample_config,
     summarize,
     voxelize,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "SampleSpec",
     "SplitMix64",
     "VoxelGrid",
-    "WorkspaceSummary",
     "builtin_fixture",
     "bulk_unit",
     "fixture_names",
@@ -61,7 +58,6 @@ __all__ = [
     "parse_robot",
     "project",
     "reach_bound",
-    "sample_config",
     "summarize",
     "voxelize",
 ]

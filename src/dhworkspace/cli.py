@@ -220,25 +220,9 @@ def _cmd_volume(args) -> int:
     model = _require_model(args.robot)
     cloud = generate_cloud(model, SampleSpec(n=args.samples, seed=args.seed))
     try:
-        summary = summarize(cloud, args.voxel)
+        text = json.dumps(summarize(cloud, args.voxel), allow_nan=False)
     except ValueError as exc:
         raise _Failure(EXIT_USAGE, f"--voxel: {exc}") from None
-    payload = {
-        "robot": summary.robot,
-        "n": summary.n,
-        "seed": summary.seed,
-        "voxel_resolution": summary.voxel_resolution,
-        "occupied_count": summary.occupied_count,
-        "volume_m3": summary.volume_estimate,
-        "max_reach_m": summary.max_reach,
-        "bbox_min": list(summary.bbox_min),
-        "bbox_max": list(summary.bbox_max),
-    }
-    try:
-        text = json.dumps(payload, allow_nan=False)
-    except ValueError:
-        raise _Failure(EXIT_USAGE,
-                       f"--voxel: volume {summary.volume_estimate} is not finite") from None
     print(text)
     return EXIT_OK
 

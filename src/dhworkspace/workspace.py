@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import RobotModel, fk_batch
-from .rng import SplitMix64, bulk_unit
+from .rng import bulk_unit
 
 #: bound on voxel indices and on voxels per box, so packed keys fit in int64
 _INDEX_LIMIT = 2 ** 62
@@ -39,7 +39,11 @@ class SampleSpec:
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """End-effector positions in sample order, with their provenance."""
+    """End-effector positions in sample order, with their provenance.
+
+    Leave the points unchanged once voxelize or summarize has seen the
+    cloud: their per-axis bounds are computed once and cached.
+    """
 
     points: np.ndarray  # (n, 3) float64, meters
     robot: str
@@ -49,6 +53,13 @@ class PointCloud:
     def __post_init__(self):
         if self.points.shape != (self.n, 3):
             raise ValueError(f"points shape {self.points.shape} != ({self.n}, 3)")
+
+    @functools.cached_property
+    def _bounds(self) -> tuple:
+        """(per-axis minima, per-axis maxima) of a non-empty cloud, computed once
+        for the voxel box and the bounding box; column passes beat (n, 3) rows."""
+        columns = self.points.T
+        return tuple(float(c.min()) for c in columns), tuple(float(c.max()) for c in columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,52 +96,21 @@ class VoxelGrid:
         return self.occupied_count * self.resolution ** 3
 
 
-@dataclass(frozen=True)
-class WorkspaceSummary:
-    """Aggregate statistics of one sampled cloud."""
-
-    robot: str
-    n: int
-    seed: int
-    bbox_min: tuple
-    bbox_max: tuple
-    max_reach: float
-    voxel_resolution: float
-    occupied_count: int
-    volume_estimate: float
-
-
-def sample_config(model: RobotModel, state: SplitMix64) -> np.ndarray:
-    """Draw one configuration, one value per movable row in index order.
-
-    q = min + (max - min) * u with u uniform on [0, 1), so q lands in
-    [min, max) except in the degenerate min == max case. Advances state
-    by exactly the movable joint count.
-    """
-    values = []
-    for row in model.rows:
-        if row.fixed is not None:
-            continue
-        lo, hi = row.limits
-        values.append(lo + (hi - lo) * state.next_unit())
-    return np.array(values)
-
-
 def joint_samples(model: RobotModel, spec: SampleSpec) -> np.ndarray:
     """(n, m) matrix of sampled configurations, row k = sample k.
 
-    Equals n successive sample_config calls on SplitMix64(spec.seed),
-    computed vectorized.
+    Column j of row k is min + (max - min) * u for movable row j, with u
+    the next draw of SplitMix64(spec.seed) in row-major order, so q lands
+    in [min, max) except in the degenerate min == max case.
     """
     movable = model.movable_rows
     m = len(movable)
     if m == 0:
         raise ValueError(f"model {model.name!r} has no movable joints to sample")
-    u = bulk_unit(spec.seed, spec.n * m).reshape(spec.n, m)
-    Q = np.empty((spec.n, m))
-    for j, row in enumerate(movable):
-        lo, hi = row.limits
-        Q[:, j] = lo + (hi - lo) * u[:, j]
+    lo, hi = np.array([row.limits for row in movable]).T
+    Q = bulk_unit(spec.seed, spec.n * m).reshape(spec.n, m)
+    Q *= hi - lo
+    Q += lo
     return Q
 
 
@@ -158,23 +138,30 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
     except OverflowError:
         raise ValueError(f"voxel resolution {resolution} is too coarse: "
                          "the voxel volume overflows") from None
-    scaled = cloud.points / resolution
-    if scaled.size == 0:
+    points = cloud.points
+    if points.shape[0] == 0:
         return VoxelGrid(resolution, np.empty(0, dtype=np.int64), (0, 0, 0), (0, 0, 0))
-    if not np.abs(scaled).max() < _INDEX_LIMIT:
+    # division by a positive resolution and floor are monotone, so the six
+    # bounds give the index check and the box before any point is divided
+    bounds = cloud._bounds
+    if not all(abs(v) / resolution < _INDEX_LIMIT for side in bounds for v in side):
         raise ValueError(f"voxel resolution {resolution} is too fine for this cloud: "
                          "a voxel index reaches 2**62")
-    idx = np.floor(scaled, out=scaled).astype(np.int64)
-    lo = tuple(int(v) for v in idx.min(axis=0))
-    span = tuple(int(h) - l + 1 for h, l in zip(idx.max(axis=0).tolist(), lo))
+    lo, hi = ([math.floor(v / resolution) for v in side] for side in bounds)
+    span = tuple(h - l + 1 for h, l in zip(hi, lo))
     if span[0] * span[1] * span[2] > _INDEX_LIMIT:
         raise ValueError(f"voxel resolution {resolution} is too fine for this cloud: "
                          "its box holds more than 2**62 voxels")
-    idx -= lo
-    keys = (idx[:, 0] * span[1] + idx[:, 1]) * span[2] + idx[:, 2]
+    keys = np.zeros(points.shape[0], dtype=np.int64)
+    index = np.empty_like(keys)
+    for column, axis_lo, axis_span in zip(points.T, lo, span):
+        np.floor(column / resolution, out=index, casting="unsafe")
+        index -= axis_lo  # before accumulating, so no sum leaves int64 range
+        keys *= axis_span
+        keys += index
     keys.sort()
     distinct = np.concatenate(([True], keys[1:] != keys[:-1]))
-    return VoxelGrid(resolution, keys[distinct], lo, span)
+    return VoxelGrid(resolution, keys[distinct], tuple(lo), span)
 
 
 def project(cloud: PointCloud, plane: str) -> np.ndarray:
@@ -187,29 +174,32 @@ def project(cloud: PointCloud, plane: str) -> np.ndarray:
     return cloud.points[:, (i, j)]
 
 
-def summarize(cloud: PointCloud, resolution: float) -> WorkspaceSummary:
-    """Bounding box, max reach, and voxel-occupancy volume of a cloud."""
+def summarize(cloud: PointCloud, resolution: float) -> dict:
+    """The JSON record `volume` prints: provenance, voxel-occupancy volume,
+    max reach and bounding box. Raises ValueError for an empty cloud, a
+    resolution voxelize rejects, or a volume that is not finite."""
     if cloud.points.shape[0] == 0:
         raise ValueError("cannot summarize an empty cloud")
     grid = voxelize(cloud, resolution)
-    # one pass per column is cheaper than reducing the short rows of (n, 3)
-    columns = cloud.points.T
-    x, y, z = columns
+    volume = grid.volume_estimate
+    if not math.isfinite(volume):
+        raise ValueError(f"volume {volume} is not finite")
+    x, y, z = cloud.points.T
     # (x*x + y*y) + z*z is the sum order of np.linalg.norm(points, axis=1),
     # and sqrt is monotone and correctly rounded: the same bits as its
     # largest value, without a square root per point
     r2 = x * x
     r2 += y * y
     r2 += z * z
-    reach = math.sqrt(float(r2.max()))
-    return WorkspaceSummary(
-        robot=cloud.robot,
-        n=cloud.n,
-        seed=cloud.seed,
-        bbox_min=tuple(float(c.min()) for c in columns),
-        bbox_max=tuple(float(c.max()) for c in columns),
-        max_reach=reach,
-        voxel_resolution=resolution,
-        occupied_count=grid.occupied_count,
-        volume_estimate=grid.volume_estimate,
-    )
+    bbox_min, bbox_max = cloud._bounds
+    return {
+        "robot": cloud.robot,
+        "n": cloud.n,
+        "seed": cloud.seed,
+        "voxel_resolution": resolution,
+        "occupied_count": grid.occupied_count,
+        "volume_m3": volume,
+        "max_reach_m": math.sqrt(float(r2.max())),
+        "bbox_min": list(bbox_min),
+        "bbox_max": list(bbox_max),
+    }

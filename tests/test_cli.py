@@ -249,12 +249,8 @@ def test_volume_json_payload(capsys):
     summary = summarize(cloud, 0.05)
     assert payload["robot"] == "WAM"
     assert payload["n"] == 2000 and payload["seed"] == 42
-    assert payload["occupied_count"] == summary.occupied_count
-    assert payload["volume_m3"] == summary.volume_estimate
-    assert payload["max_reach_m"] == summary.max_reach
+    assert list(summary) == list(payload) and summary == payload
     assert payload["volume_m3"] == payload["occupied_count"] * 0.05 ** 3
-    assert tuple(payload["bbox_min"]) == summary.bbox_min
-    assert tuple(payload["bbox_max"]) == summary.bbox_max
 
 
 def test_volume_is_deterministic(capsys):
@@ -311,6 +307,18 @@ def test_volume_rejects_unusable_voxel_sizes(capsys, voxel, message):
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and message in err
+
+
+def test_volume_of_a_cloud_no_voxel_grid_holds_is_one_line(tmp_path, capsys):
+    # a legal file (its span and reach bound are finite) whose points lie
+    # about 1e308 m out: every 0.02 m voxel index is beyond 2**62, and the
+    # refusal comes before any point is divided, so no overflow warning
+    path = tmp_path / "t.robot"
+    path.write_text(GOOD.replace("a=0", "a=1e308"))
+    code, out, err = run(capsys, "volume", str(path), "--samples", "100")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("command", [

@@ -63,9 +63,9 @@ def test_prefix_voxels_are_a_subset(points, resolution, data):
 @given(clouds)
 def test_summary_matches_row_reductions(points):
     summary = summarize(cloud_of(points), 1.0)
-    assert summary.max_reach == float(np.linalg.norm(points, axis=1).max())
-    assert summary.bbox_min == tuple(points.min(axis=0).tolist())
-    assert summary.bbox_max == tuple(points.max(axis=0).tolist())
+    assert summary["max_reach_m"] == float(np.linalg.norm(points, axis=1).max())
+    assert summary["bbox_min"] == points.min(axis=0).tolist()
+    assert summary["bbox_max"] == points.max(axis=0).tolist()
 
 
 # values that stress %.9f: signed zeros, either side of the 5e-10 rounding

@@ -18,7 +18,6 @@ from dhworkspace import (
     joint_samples,
     project,
     reach_bound,
-    sample_config,
     summarize,
     voxelize,
 )
@@ -42,6 +41,23 @@ def collapse_limits(model, value=0.0):
 def cloud_of(points):
     pts = np.asarray(points, dtype=np.float64)
     return PointCloud(points=pts, robot="test", seed=0, n=pts.shape[0])
+
+
+# the scalar reference that joint_samples is compared against
+def sample_config(model: RobotModel, state: SplitMix64) -> np.ndarray:
+    """Draw one configuration, one value per movable row in index order.
+
+    q = min + (max - min) * u with u uniform on [0, 1), so q lands in
+    [min, max) except in the degenerate min == max case. Advances state
+    by exactly the movable joint count.
+    """
+    values = []
+    for row in model.rows:
+        if row.fixed is not None:
+            continue
+        lo, hi = row.limits
+        values.append(lo + (hi - lo) * state.next_unit())
+    return np.array(values)
 
 
 # --- SampleSpec / sample_config ---------------------------------------------
@@ -228,6 +244,9 @@ def test_voxel_rejects_grids_that_overflow():
         voxelize(unit, 1e300)
     with pytest.raises(ValueError, match="index"):
         voxelize(unit, 1e-20)
+    # only the minimum reaches the limit: -1 / 1e-19 = -1e19 < -2**62
+    with pytest.raises(ValueError, match="index"):
+        voxelize(cloud_of([[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 1e-19)
     # every index is small, but the box holds (2e6 + 1)**3 > 2**62 voxels
     with pytest.raises(ValueError, match="box"):
         voxelize(unit, 5e-7)
@@ -322,20 +341,20 @@ def test_projection_rejects_unknown_plane():
 
 def test_summary_single_point():
     s = summarize(cloud_of([[0.0, 0.0, 0.0]]), 0.01)
-    assert s.occupied_count == 1
-    assert s.volume_estimate == pytest.approx(1e-6, rel=1e-12)
-    assert s.max_reach == 0.0
-    assert s.bbox_min == (0.0, 0.0, 0.0)
-    assert s.bbox_max == (0.0, 0.0, 0.0)
+    assert s["occupied_count"] == 1
+    assert s["volume_m3"] == pytest.approx(1e-6, rel=1e-12)
+    assert s["max_reach_m"] == 0.0
+    assert s["bbox_min"] == [0.0, 0.0, 0.0]
+    assert s["bbox_max"] == [0.0, 0.0, 0.0]
 
 
 def test_summary_ignores_duplicates():
     one = summarize(cloud_of([[0.3, -0.2, 0.1]]), 0.05)
     many = summarize(cloud_of([[0.3, -0.2, 0.1]] * 40), 0.05)
-    assert many.occupied_count == one.occupied_count
-    assert many.volume_estimate == one.volume_estimate
-    assert many.max_reach == one.max_reach
-    assert many.bbox_min == one.bbox_min
+    assert many["occupied_count"] == one["occupied_count"]
+    assert many["volume_m3"] == one["volume_m3"]
+    assert many["max_reach_m"] == one["max_reach_m"]
+    assert many["bbox_min"] == one["bbox_min"]
 
 
 def test_summary_rejects_empty_cloud():
@@ -347,12 +366,13 @@ def test_summary_fields_are_consistent():
     wam = builtin_fixture("wam")
     cloud = generate_cloud(wam, SampleSpec(n=20000, seed=42))
     s = summarize(cloud, 0.05)
-    assert s.n == 20000 and s.seed == 42 and s.robot == "WAM"
-    assert s.volume_estimate == s.occupied_count * 0.05 ** 3
-    assert (cloud.points >= np.array(s.bbox_min)).all()
-    assert (cloud.points <= np.array(s.bbox_max)).all()
-    assert s.max_reach == np.linalg.norm(cloud.points, axis=1).max()
-    assert 0.85 <= s.max_reach <= 1.0
+    assert s["n"] == 20000 and s["seed"] == 42 and s["robot"] == "WAM"
+    assert s["voxel_resolution"] == 0.05
+    assert s["volume_m3"] == s["occupied_count"] * 0.05 ** 3
+    assert (cloud.points >= np.array(s["bbox_min"])).all()
+    assert (cloud.points <= np.array(s["bbox_max"])).all()
+    assert s["max_reach_m"] == np.linalg.norm(cloud.points, axis=1).max()
+    assert 0.85 <= s["max_reach_m"] <= 1.0
 
 
 def test_interior_point_is_well_sampled():

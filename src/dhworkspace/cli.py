@@ -23,7 +23,7 @@ import sys
 import tempfile
 
 from .kinematics import REVOLUTE, KinematicsError, forward_kinematics
-from .robotfile import ERROR, fixture_names, fixture_source, parse_robot
+from .robotfile import _SEMANTIC_CODES, ERROR, fixture_names, fixture_source, parse_robot
 from .workspace import SampleSpec, generate_cloud, project, summarize
 
 EXIT_OK = 0
@@ -35,11 +35,6 @@ EXIT_IO = 5
 
 #: rows formatted by one % operation in _rows_text
 _FORMAT_BLOCK = 16384
-
-#: codes for files that are well-formed text but describe a rejected model;
-#: any other error code means the text itself is broken
-_SEMANTIC_CODES = frozenset({"limits-inverted", "fixed-out-of-range", "all-joints-fixed",
-                             "range-overflow"})
 
 
 class _Failure(Exception):
@@ -159,8 +154,8 @@ def _ply_text(cloud) -> str:
     lines = [
         "ply",
         "format ascii 1.0",
-        f"comment robot={cloud.robot} seed={cloud.seed} n={cloud.n}",
-        f"element vertex {cloud.n}",
+        f"comment robot={cloud.robot} seed={cloud.seed} n={len(cloud.points)}",
+        f"element vertex {len(cloud.points)}",
         "property double x",
         "property double y",
         "property double z",
@@ -222,7 +217,7 @@ def _cmd_volume(args) -> int:
     try:
         text = json.dumps(summarize(cloud, args.voxel), allow_nan=False)
     except ValueError as exc:
-        raise _Failure(EXIT_USAGE, f"--voxel: {exc}") from None
+        raise _Failure(EXIT_USAGE, str(exc)) from None
     print(text)
     return EXIT_OK
 

@@ -43,7 +43,7 @@ class JointLimitError(KinematicsError):
 
 @dataclass(frozen=True)
 class DHRow:
-    """One link of a D-H chain.
+    """One link of a D-H chain; its joint number is its place in the chain.
 
     a and d are meters, alpha and theta_offset radians. limits bound the
     joint variable (radians for revolute rows, meters for prismatic). A row
@@ -51,7 +51,6 @@ class DHRow:
     constant `fixed` value.
     """
 
-    index: int
     kind: str
     a: float
     alpha: float
@@ -63,8 +62,6 @@ class DHRow:
     def __post_init__(self):
         if self.kind not in JOINT_KINDS:
             raise ValueError(f"unknown joint kind {self.kind!r}")
-        if self.index < 1:
-            raise ValueError(f"link index must be >= 1, got {self.index}")
         for name in ("a", "alpha", "d", "theta_offset"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -83,24 +80,19 @@ class DHRow:
 
 @dataclass(frozen=True)
 class RobotModel:
-    """An ordered D-H chain, normalized to meters/radians.
+    """An ordered D-H chain in meters/radians; row k (from 1) is joint k.
 
-    source_units records the unit the description was written in; row values
-    are already converted. Chains with zero degrees of freedom are
-    constructible (useful for degenerate tests) but rejected by the
-    parser, which demands at least one movable joint.
+    Chains with zero degrees of freedom are constructible (useful for
+    degenerate tests) but rejected by the parser, which demands at least
+    one movable joint.
     """
 
     name: str
     rows: tuple[DHRow, ...]
-    source_units: str = "m"
 
     def __post_init__(self):
         if not self.rows:
             raise ValueError("model needs at least one row")
-        indices = [row.index for row in self.rows]
-        if indices != list(range(1, len(self.rows) + 1)):
-            raise ValueError(f"row indices must be contiguous 1..n, got {indices}")
 
     @property
     def movable_rows(self) -> tuple[DHRow, ...]:
@@ -108,7 +100,7 @@ class RobotModel:
 
     @property
     def movable_count(self) -> int:
-        return sum(1 for row in self.rows if row.movable)
+        return len(self.movable_rows)
 
 
 def _resolve_config(model: RobotModel, config) -> np.ndarray:
@@ -119,14 +111,15 @@ def _resolve_config(model: RobotModel, config) -> np.ndarray:
             f"model {model.name!r} has {model.movable_count} movable joints, "
             f"got {q.size} values"
         )
-    for row, value in zip(model.movable_rows, q.tolist()):
+    movable = [(joint, row) for joint, row in enumerate(model.rows, 1) if row.movable]
+    for (joint, row), value in zip(movable, q.tolist()):
         if not math.isfinite(value):
-            raise KinematicsError(f"joint {row.index}: value must be finite, got {value!r}")
+            raise KinematicsError(f"joint {joint}: value must be finite, got {value!r}")
         lo, hi = row.limits
         if value < lo:
-            raise JointLimitError(row.index, value, lo, "min")
+            raise JointLimitError(joint, value, lo, "min")
         if value > hi:
-            raise JointLimitError(row.index, value, hi, "max")
+            raise JointLimitError(joint, value, hi, "max")
     return q
 
 

@@ -38,6 +38,10 @@ UNIT_FACTORS = {"m": 1.0, "cm": 0.01, "mm": 0.001}
 ERROR = "error"
 WARNING = "warning"
 
+#: codes for files that are well-formed text but describe a rejected model;
+#: any other error code means the text itself is broken
+_SEMANTIC_CODES = frozenset({"limits-inverted", "fixed-out-of-range", "all-joints-fixed", "range-overflow"})
+
 _NUM_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z")
 #: pi/<den> needs den >= 1 and below float's range, so at most 308 digits
 _PI_RE = re.compile(r"(-?)pi(?:/0*([1-9]\d{0,307}))?\Z")
@@ -122,7 +126,6 @@ def parse_robot(source: str):
     name = None
     units = None
     joints = []
-    header_missing_reported = set()
 
     for lineno, raw in enumerate(_LINE_END_RE.split(source), start=1):
         text = raw.split("#", 1)[0]
@@ -155,21 +158,19 @@ def parse_robot(source: str):
                 units = tokens[1][0]
 
         elif word == "joint":
-            if name is None and "robot" not in header_missing_reported:
-                header_missing_reported.add("robot")
-                diags.append(_err(lineno, col, "joint before 'robot' header", "missing-robot-header"))
-            if units is None and "units" not in header_missing_reported:
-                header_missing_reported.add("units")
-                diags.append(_err(lineno, col, "joint before 'units' header", "missing-units-header"))
+            if not joints:  # the headers must come before the first joint line
+                for header, value in (("robot", name), ("units", units)):
+                    if value is None:
+                        diags.append(_err(lineno, col, f"joint before '{header}' header", f"missing-{header}-header"))
             joints.append(_parse_joint_line(tokens, lineno, col, diags))
 
         else:
             diags.append(_err(lineno, col, f"unknown directive {word!r}", "unknown-directive"))
 
-    if name is None and "robot" not in header_missing_reported:
-        diags.append(_err(1, 1, "missing 'robot' header", "missing-robot-header"))
-    if units is None and "units" not in header_missing_reported:
-        diags.append(_err(1, 1, "missing 'units' header", "missing-units-header"))
+    if not joints:
+        for header, value in (("robot", name), ("units", units)):
+            if value is None:
+                diags.append(_err(1, 1, f"missing '{header}' header", f"missing-{header}-header"))
 
     joints = [j for j in joints if j is not None]
     if not joints:
@@ -200,7 +201,6 @@ def parse_robot(source: str):
             diags.append(_err(j.line, j.cols["min"],
                               f"joint {j.index}: max - min overflows a float", "range-overflow"))
         rows.append(DHRow(
-            index=j.index,
             kind=j.kind,
             a=v["a"] * factor,
             alpha=v["alpha"],
@@ -209,7 +209,7 @@ def parse_robot(source: str):
             limits=(lo, hi),
             fixed=fixed,
         ))
-    model = RobotModel(name=name, rows=tuple(rows), source_units=units)
+    model = RobotModel(name=name, rows=tuple(rows))
     if not math.isfinite(reach_bound(model)):
         # report the joint at which the running sum first overflows
         k = next(k for k in range(1, len(rows) + 1)
@@ -285,8 +285,6 @@ def _check_indices(joints, diags):
             diags.append(_err(j.line, j.column, f"duplicate joint index {j.index}", "duplicate-joint-index"))
         else:
             seen[j.index] = j
-    if not seen:
-        return
     expected = range(1, len(seen) + 1)
     if sorted(seen) != list(expected):
         # n distinct indices not equal to 1..n means at least one lies outside

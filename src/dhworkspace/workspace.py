@@ -41,18 +41,19 @@ class SampleSpec:
 class PointCloud:
     """End-effector positions in sample order, with their provenance.
 
-    Leave the points unchanged once voxelize or summarize has seen the
-    cloud: their per-axis bounds are computed once and cached.
+    The cloud keeps its own read-only copy of the points, so their cached
+    per-axis bounds always hold.
     """
 
-    points: np.ndarray  # (n, 3) float64, meters
+    points: np.ndarray  # (k, 3) float64, meters
     robot: str
     seed: int
-    n: int
 
     def __post_init__(self):
-        if self.points.shape != (self.n, 3):
-            raise ValueError(f"points shape {self.points.shape} != ({self.n}, 3)")
+        object.__setattr__(self, "points", np.array(self.points, dtype=np.float64, order="C"))
+        if self.points.shape[1:] != (3,):
+            raise ValueError(f"points shape {self.points.shape} is not (k, 3)")
+        self.points.flags.writeable = False
 
     @functools.cached_property
     def _bounds(self) -> tuple:
@@ -116,11 +117,9 @@ def joint_samples(model: RobotModel, spec: SampleSpec) -> np.ndarray:
 
 def generate_cloud(model: RobotModel, spec: SampleSpec) -> PointCloud:
     """Sample the joint space and evaluate FK; points in sample order."""
-    # a contiguous copy, so neither the configurations nor the (n, 4, 4)
-    # transforms outlive this call
-    points = fk_batch(model, joint_samples(model, spec))[:, :3, 3].copy()
-    points.flags.writeable = False
-    return PointCloud(points=points, robot=model.name, seed=spec.seed, n=spec.n)
+    # the cloud copies the positions, so no (n, 4, 4) transform outlives this call
+    points = fk_batch(model, joint_samples(model, spec))[:, :3, 3]
+    return PointCloud(points=points, robot=model.name, seed=spec.seed)
 
 
 def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
@@ -129,7 +128,8 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
     Raises ValueError when the resolution is not a positive finite number,
     when its cube overflows, or when the grid is too fine for the cloud: a
     voxel index of magnitude 2**62 or more, or a box of more than 2**62
-    voxels, whose packed keys would not fit in int64.
+    voxels, whose packed keys would not fit in int64; the message names the
+    cloud's extent when no resolution with a finite cube is coarse enough.
     """
     if not (resolution > 0 and math.isfinite(resolution)):
         raise ValueError(f"voxel resolution must be a positive finite number, got {resolution}")
@@ -145,6 +145,11 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
     # bounds give the index check and the box before any point is divided
     bounds = cloud._bounds
     if not all(abs(v) / resolution < _INDEX_LIMIT for side in bounds for v in side):
+        extent = max(abs(v) for side in bounds for v in side)
+        try:  # the finest resolution the index limit allows, and so every coarser one
+            (extent / _INDEX_LIMIT) ** 3
+        except OverflowError:
+            raise ValueError(f"no voxel grid holds this cloud: it reaches {extent} m along an axis") from None
         raise ValueError(f"voxel resolution {resolution} is too fine for this cloud: "
                          "a voxel index reaches 2**62")
     lo, hi = ([math.floor(v / resolution) for v in side] for side in bounds)
@@ -183,7 +188,7 @@ def summarize(cloud: PointCloud, resolution: float) -> dict:
     grid = voxelize(cloud, resolution)
     volume = grid.volume_estimate
     if not math.isfinite(volume):
-        raise ValueError(f"volume {volume} is not finite")
+        raise ValueError(f"voxel resolution {resolution} is too coarse: the volume {volume} is not finite")
     x, y, z = cloud.points.T
     # (x*x + y*y) + z*z is the sum order of np.linalg.norm(points, axis=1),
     # and sqrt is monotone and correctly rounded: the same bits as its
@@ -194,7 +199,7 @@ def summarize(cloud: PointCloud, resolution: float) -> dict:
     bbox_min, bbox_max = cloud._bounds
     return {
         "robot": cloud.robot,
-        "n": cloud.n,
+        "n": len(cloud.points),
         "seed": cloud.seed,
         "voxel_resolution": resolution,
         "occupied_count": grid.occupied_count,

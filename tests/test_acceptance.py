@@ -62,7 +62,7 @@ def test_link_transform_matches_elementary_factor_product():
         a, d = rng.uniform(-2.0, 2.0, size=2)
         alpha, offset = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=2)
         q = float(rng.uniform(-3.0, 3.0))
-        row = DHRow(index=1, kind=kind, a=float(a), alpha=float(alpha),
+        row = DHRow(kind=kind, a=float(a), alpha=float(alpha),
                     d=float(d), theta_offset=float(offset), limits=(-10.0, 10.0))
         got = forward_kinematics(RobotModel(name="link", rows=(row,)), [q])
         theta = offset + (q if kind == REVOLUTE else 0.0)

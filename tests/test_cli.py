@@ -211,7 +211,7 @@ def test_workspace_default_flags(tmp_path, capsys):
     out_file = tmp_path / "cloud.csv"
     code, _, _ = run(capsys, "workspace", "builtin:wam", "--out", str(out_file))
     assert code == 0
-    assert sum(1 for _ in out_file.open()) == 20001
+    assert len(out_file.read_text().splitlines()) == 20001
 
 
 # --- project ---------------------------------------------------------------------
@@ -278,6 +278,14 @@ def test_unwritable_output_exits_5(tmp_path, capsys):
                        "--out", str(tmp_path / "missing" / "x.csv"))
     assert code == 5
     assert "cannot write" in err
+    # the temp file is written, then the rename onto a directory fails: it is removed
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, _, err = run(capsys, "workspace", "builtin:wam", "--samples", "5", "--out", str(target))
+    assert code == 5
+    assert len(err.splitlines()) == 1 and "cannot write" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list(target.iterdir()) == []
 
 
 def test_missing_subcommand_exits_1(capsys):
@@ -292,6 +300,7 @@ def test_bad_flag_value_exits_1(capsys):
     assert run(capsys, "workspace", "builtin:wam", "--samples", "0",
                "--out", "x.csv")[0] == 1
     assert run(capsys, "volume", "builtin:wam", "--voxel", "-1")[0] == 1
+    assert run(capsys, "volume", "builtin:wam", "--seed", "-1")[0] == 1
 
 
 @pytest.mark.parametrize("voxel, message", [
@@ -307,6 +316,8 @@ def test_volume_rejects_unusable_voxel_sizes(capsys, voxel, message):
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and message in err
+    # a bad resolution is named, by value or by its flag
+    assert str(float(voxel)) in err or "--voxel" in err
 
 
 def test_volume_of_a_cloud_no_voxel_grid_holds_is_one_line(tmp_path, capsys):
@@ -319,6 +330,8 @@ def test_volume_of_a_cloud_no_voxel_grid_holds_is_one_line(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+    # no --voxel value works here, so the message names the cloud, not the flag
+    assert "--voxel" not in err and "no voxel grid holds this cloud" in err
 
 
 @pytest.mark.parametrize("command", [

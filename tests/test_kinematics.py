@@ -27,9 +27,9 @@ from fk_reference import ref_fk
 TOL = 1e-14
 
 
-def row(index=1, kind=REVOLUTE, a=0.0, alpha=0.0, d=0.0, offset=0.0,
+def row(kind=REVOLUTE, a=0.0, alpha=0.0, d=0.0, offset=0.0,
         limits=(-math.pi, math.pi), fixed=None):
-    return DHRow(index=index, kind=kind, a=a, alpha=alpha, d=d,
+    return DHRow(kind=kind, a=a, alpha=alpha, d=d,
                  theta_offset=offset, limits=limits, fixed=fixed)
 
 
@@ -124,19 +124,9 @@ def test_row_rejects_nonfinite_parameters():
         row(limits=(-math.inf, 0.0))
 
 
-def test_row_rejects_bad_index():
-    with pytest.raises(ValueError):
-        row(index=0)
-
-
 def test_model_rejects_empty_chain():
     with pytest.raises(ValueError):
         RobotModel(name="empty", rows=())
-
-
-def test_model_rejects_noncontiguous_indices():
-    with pytest.raises(ValueError):
-        RobotModel(name="gap", rows=(row(index=1), row(index=3)))
 
 
 def test_all_fixed_chain_is_constructible():
@@ -152,10 +142,10 @@ def test_frame_chain_accumulates():
     # forward_kinematics is the ordered product of the link transforms,
     # fixed rows at their constant
     mixed = RobotModel(name="mixed", rows=(
-        row(1, a=0.3, alpha=0.5, d=0.1),
-        row(2, kind=PRISMATIC, alpha=-1.2, d=0.2, limits=(0.0, 1.0), fixed=0.4),
-        row(3, a=-0.7, d=0.05, offset=0.3, fixed=-0.9),
-        row(4, kind=PRISMATIC, a=0.2, alpha=2.0, limits=(-0.5, 0.5)),
+        row(a=0.3, alpha=0.5, d=0.1),
+        row(kind=PRISMATIC, alpha=-1.2, d=0.2, limits=(0.0, 1.0), fixed=0.4),
+        row(a=-0.7, d=0.05, offset=0.3, fixed=-0.9),
+        row(kind=PRISMATIC, a=0.2, alpha=2.0, limits=(-0.5, 0.5)),
     ))
     wam = builtin_fixture("wam")  # row 1 fixed at 0
     cases = [(mixed, [0.8, -0.25]), (wam, [0.1, -0.2, 0.3, 0.0, 0.5, -0.6])]
@@ -188,6 +178,11 @@ def test_limit_violation_raises_not_clamps():
     with pytest.raises(JointLimitError) as info:
         forward_kinematics(m, [-1.5])
     assert info.value.which == "min"
+    # a joint's number is its row's place in the chain, fixed rows included
+    chain = RobotModel(name="chain", rows=(row(fixed=0.0), row(limits=(-1.0, 2.0))))
+    with pytest.raises(JointLimitError) as info:
+        forward_kinematics(chain, [2.5])
+    assert info.value.index == 2
 
 
 def test_limits_are_inclusive_at_the_boundary():
@@ -200,6 +195,9 @@ def test_nonfinite_config_rejected():
     m = one_joint(row())
     with pytest.raises(KinematicsError):
         forward_kinematics(m, [math.nan])
+    chain = RobotModel(name="chain", rows=(row(fixed=0.0), row()))
+    with pytest.raises(KinematicsError, match="joint 2:"):
+        forward_kinematics(chain, [math.inf])
 
 
 # --- fk_batch --------------------------------------------------------------
@@ -236,9 +234,9 @@ def test_fk_batch_checks_shape():
 
 def test_fk_batch_handles_prismatic_and_fixed_rows():
     rows = (
-        row(index=1, kind=REVOLUTE, a=0.2, alpha=math.pi / 2),
-        row(index=2, kind=PRISMATIC, d=0.1, limits=(0.0, 1.0)),
-        row(index=3, kind=REVOLUTE, a=0.4, fixed=0.5),
+        row(kind=REVOLUTE, a=0.2, alpha=math.pi / 2),
+        row(kind=PRISMATIC, d=0.1, limits=(0.0, 1.0)),
+        row(kind=REVOLUTE, a=0.4, fixed=0.5),
     )
     m = RobotModel(name="mixed", rows=rows)
     Q = np.array([[0.3, 0.7], [-1.2, 0.05]])
@@ -249,11 +247,11 @@ def test_fk_batch_handles_prismatic_and_fixed_rows():
 
 def test_fk_batch_matches_scalar_path_across_block_boundaries():
     rows = (
-        row(index=1, kind=REVOLUTE, a=0.2, alpha=math.pi / 2, d=0.1),
-        row(index=2, kind=PRISMATIC, alpha=-math.pi / 2, d=0.1, limits=(0.0, 1.0)),
-        row(index=3, kind=REVOLUTE, a=0.4, alpha=0.3, fixed=0.5),
-        row(index=4, kind=REVOLUTE, a=-0.1, d=0.3, offset=0.7),
-        row(index=5, kind=PRISMATIC, a=0.05, offset=-0.2, limits=(0.0, 1.0),
+        row(kind=REVOLUTE, a=0.2, alpha=math.pi / 2, d=0.1),
+        row(kind=PRISMATIC, alpha=-math.pi / 2, d=0.1, limits=(0.0, 1.0)),
+        row(kind=REVOLUTE, a=0.4, alpha=0.3, fixed=0.5),
+        row(kind=REVOLUTE, a=-0.1, d=0.3, offset=0.7),
+        row(kind=PRISMATIC, a=0.05, offset=-0.2, limits=(0.0, 1.0),
             fixed=0.25),
     )
     m = RobotModel(name="mixed", rows=rows)

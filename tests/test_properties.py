@@ -37,7 +37,7 @@ resolutions = st.sampled_from([0.25, 1.0]) | st.floats(min_value=1e-3, max_value
 
 
 def cloud_of(points):
-    return PointCloud(points=points, robot="test", seed=0, n=points.shape[0])
+    return PointCloud(points=points, robot="test", seed=0)
 
 
 @settings(deadline=None)
@@ -98,18 +98,17 @@ angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
 
 
 @st.composite
-def dh_rows(draw, index):
+def dh_rows(draw):
     kind = draw(st.sampled_from([REVOLUTE, PRISMATIC]))
     span = angles if kind == REVOLUTE else lengths
     lo, hi = sorted((draw(span), draw(span)))
-    return DHRow(index=index, kind=kind, a=draw(lengths), alpha=draw(angles),
+    return DHRow(kind=kind, a=draw(lengths), alpha=draw(angles),
                  d=draw(lengths), theta_offset=draw(angles), limits=(lo, hi),
                  fixed=draw(st.none() | st.floats(min_value=lo, max_value=hi)))
 
 
-chains = st.integers(min_value=1, max_value=8).flatmap(
-    lambda k: st.tuples(*[dh_rows(i) for i in range(1, k + 1)])).map(
-    lambda rows: RobotModel(name="generated", rows=rows))
+chains = st.lists(dh_rows(), min_size=1, max_size=8).map(
+    lambda rows: RobotModel(name="generated", rows=tuple(rows)))
 
 
 @settings(deadline=None)

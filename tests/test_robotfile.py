@@ -27,7 +27,6 @@ def test_minimal_file_parses():
     model, diags = parse_robot(H + OK)
     assert diags == []
     assert model.name == "T"
-    assert model.source_units == "m"
     assert len(model.rows) == 1
     assert model.rows[0].kind == REVOLUTE
     assert model.rows[0].limits == (-1.0, 1.0)
@@ -60,7 +59,6 @@ def test_lengths_convert_to_meters():
     model, _ = parse_robot(src)
     assert model.rows[0].a == 1500 * 0.001
     assert model.rows[0].d == -25 * 0.001
-    assert model.source_units == "mm"
 
 
 def test_prismatic_limits_and_fixed_are_lengths():
@@ -270,7 +268,6 @@ def test_builtin_fixture_is_cached():
 def test_smokie_constants():
     m = builtin_fixture("smokie")
     assert m.name == "Smokie OUR"
-    assert m.source_units == "cm"
     assert len(m.rows) == 6
     assert m.movable_count == 6
     assert m.rows[1].a == 43 * 0.01
@@ -283,7 +280,6 @@ def test_smokie_constants():
 
 def test_wam_constants():
     m = builtin_fixture("wam")
-    assert m.source_units == "m"
     assert len(m.rows) == 7
     assert m.rows[0].fixed == 0.0
     assert m.movable_count == 6

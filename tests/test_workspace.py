@@ -39,8 +39,7 @@ def collapse_limits(model, value=0.0):
 
 
 def cloud_of(points):
-    pts = np.asarray(points, dtype=np.float64)
-    return PointCloud(points=pts, robot="test", seed=0, n=pts.shape[0])
+    return PointCloud(points=points, robot="test", seed=0)
 
 
 # the scalar reference that joint_samples is compared against
@@ -146,7 +145,6 @@ def test_cloud_shape_and_provenance():
     assert cloud.points.shape == (300, 3)
     assert cloud.robot == "WAM"
     assert cloud.seed == 8
-    assert cloud.n == 300
 
 
 def test_cloud_matches_per_sample_fk():
@@ -174,7 +172,7 @@ def test_cloud_prefix_is_bitwise_equal():
 
 def test_single_sample_of_degenerate_robot_is_origin():
     model = RobotModel(name="dot", rows=(
-        DHRow(index=1, kind=REVOLUTE, a=0.0, alpha=0.0, d=0.0,
+        DHRow(kind=REVOLUTE, a=0.0, alpha=0.0, d=0.0,
               limits=(-1.0, 1.0)),))
     cloud = generate_cloud(model, SampleSpec(n=1, seed=0))
     assert cloud.points.shape == (1, 3)
@@ -202,8 +200,25 @@ def test_cloud_points_are_read_only():
 
 
 def test_point_cloud_shape_is_checked():
-    with pytest.raises(ValueError):
-        PointCloud(points=np.zeros((3, 3)), robot="x", seed=0, n=4)
+    for shape in ((3,), (3, 2), (3, 3, 1)):
+        with pytest.raises(ValueError):
+            PointCloud(points=np.zeros(shape), robot="x", seed=0)
+
+
+def test_cloud_keeps_its_own_copy_of_the_points():
+    # mutating the caller's array after summarize changes neither a second
+    # summarize nor voxelize: the cloud's cached bounds stay true
+    source = np.zeros((2, 3))
+    source[1] = 1.0
+    cloud = PointCloud(points=source, robot="x", seed=0)
+    first = summarize(cloud, 0.02)
+    source[1, 0] = 2.0
+    assert summarize(cloud, 0.02) == first
+    assert first["bbox_max"] == [1.0, 1.0, 1.0]
+    grid = voxelize(cloud, 0.02)
+    assert grid.span == (51, 51, 51)
+    assert grid.occupied == {(0, 0, 0), (50, 50, 50)}
+    assert not cloud.points.flags.writeable and cloud.points.flags.c_contiguous
 
 
 # --- voxelize ------------------------------------------------------------------

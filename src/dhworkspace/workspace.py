@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import RobotModel, fk_batch
+from .kinematics import _BLOCK, RobotModel, fk_batch
 from .rng import bulk_unit
 
 #: bound on voxel indices and on voxels per box, so packed keys fit in int64
@@ -97,28 +99,74 @@ class VoxelGrid:
         return self.occupied_count * self.resolution ** 3
 
 
-def joint_samples(model: RobotModel, spec: SampleSpec) -> np.ndarray:
-    """(n, m) matrix of sampled configurations, row k = sample k.
+def joint_samples(model: RobotModel, spec: SampleSpec, start: int = 0,
+                  stop: int | None = None) -> np.ndarray:
+    """Rows start..stop (default 0..n) of the (n, m) matrix of sampled
+    configurations, row k = sample k.
 
     Column j of row k is min + (max - min) * u for movable row j, with u
     the next draw of SplitMix64(spec.seed) in row-major order, so q lands
-    in [min, max) except in the degenerate min == max case.
+    in [min, max) except in the degenerate min == max case. Any row range
+    draws the same bits as the whole matrix's slice.
     """
     movable = model.movable_rows
     m = len(movable)
     if m == 0:
         raise ValueError(f"model {model.name!r} has no movable joints to sample")
+    if stop is None:
+        stop = spec.n
     lo, hi = np.array([row.limits for row in movable]).T
-    Q = bulk_unit(spec.seed, spec.n * m).reshape(spec.n, m)
+    Q = bulk_unit(spec.seed, (stop - start) * m, start * m).reshape(stop - start, m)
     Q *= hi - lo
     Q += lo
     return Q
 
 
 def generate_cloud(model: RobotModel, spec: SampleSpec) -> PointCloud:
-    """Sample the joint space and evaluate FK; points in sample order."""
-    # the cloud copies the positions, so no (n, 4, 4) transform outlives this call
-    points = fk_batch(model, joint_samples(model, spec))[:, :3, 3]
+    """Sample the joint space and evaluate FK; points in sample order.
+
+    Blocks of _BLOCK samples are drawn and evaluated one at a time, so no
+    (n, m) or (n, 4, 4) array exists, on up to one thread per CPU. Each
+    block writes only its own rows and every operation is elementwise, so
+    the bytes do not depend on the thread count. An exception in any block
+    is raised here after every thread has ended.
+    """
+    n = spec.n
+    if n > np.iinfo(np.intp).max // 24:  # more bytes than an array can index
+        raise MemoryError(f"cannot allocate {n} points")
+    points = np.empty((n, 3))
+    starts = range(0, n, _BLOCK)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(starts))
+    failures = []
+
+    def fill(first: int) -> None:
+        try:
+            for start in starts[first::workers]:
+                if failures:  # another worker failed: the call is over
+                    return
+                stop = min(start + _BLOCK, n)
+                points[start:stop] = fk_batch(model, joint_samples(model, spec, start, stop))[:, :3, 3]
+        except BaseException as exc:  # raised again by the caller after the joins
+            failures.append(exc)
+
+    threads, mine = [], [0]  # the caller's thread is worker 0
+    for i in range(1, workers):
+        thread = threading.Thread(target=fill, args=(i,))
+        try:
+            thread.start()
+            threads.append(thread)
+        except RuntimeError:  # the process may start no more threads: run this share here
+            mine.append(i)
+    for i in mine:
+        fill(i)
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
     return PointCloud(points=points, robot=model.name, seed=spec.seed)
 
 
@@ -126,30 +174,32 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
     """Quantize the cloud onto the origin-anchored grid.
 
     Raises ValueError when the resolution is not a positive finite number,
-    when its cube overflows, or when the grid is too fine for the cloud: a
-    voxel index of magnitude 2**62 or more, or a box of more than 2**62
-    voxels, whose packed keys would not fit in int64; the message names the
-    cloud's extent when no resolution with a finite cube is coarse enough.
+    when no resolution with a finite cube is coarse enough for the cloud
+    (the message names the cloud's extent, and this check comes first),
+    when the resolution's cube overflows, or when the grid is too fine for
+    the cloud: a voxel index of magnitude 2**62 or more, or a box of more
+    than 2**62 voxels, whose packed keys would not fit in int64.
     """
     if not (resolution > 0 and math.isfinite(resolution)):
         raise ValueError(f"voxel resolution must be a positive finite number, got {resolution}")
-    try:
-        resolution ** 3  # as in VoxelGrid.volume_estimate
-    except OverflowError:
-        raise ValueError(f"voxel resolution {resolution} is too coarse: "
-                         "the voxel volume overflows") from None
     points = cloud.points
-    if points.shape[0] == 0:
-        return VoxelGrid(resolution, np.empty(0, dtype=np.int64), (0, 0, 0), (0, 0, 0))
-    # division by a positive resolution and floor are monotone, so the six
-    # bounds give the index check and the box before any point is divided
-    bounds = cloud._bounds
-    if not all(abs(v) / resolution < _INDEX_LIMIT for side in bounds for v in side):
+    if points.shape[0]:
+        bounds = cloud._bounds
         extent = max(abs(v) for side in bounds for v in side)
         try:  # the finest resolution the index limit allows, and so every coarser one
             (extent / _INDEX_LIMIT) ** 3
         except OverflowError:
             raise ValueError(f"no voxel grid holds this cloud: it reaches {extent} m along an axis") from None
+    try:
+        resolution ** 3  # as in VoxelGrid.volume_estimate
+    except OverflowError:
+        raise ValueError(f"voxel resolution {resolution} is too coarse: "
+                         "the voxel volume overflows") from None
+    if points.shape[0] == 0:
+        return VoxelGrid(resolution, np.empty(0, dtype=np.int64), (0, 0, 0), (0, 0, 0))
+    # division by a positive resolution and floor are monotone, so the six
+    # bounds give the index check and the box before any point is divided
+    if not all(abs(v) / resolution < _INDEX_LIMIT for side in bounds for v in side):
         raise ValueError(f"voxel resolution {resolution} is too fine for this cloud: "
                          "a voxel index reaches 2**62")
     lo, hi = ([math.floor(v / resolution) for v in side] for side in bounds)

@@ -326,12 +326,14 @@ def test_volume_of_a_cloud_no_voxel_grid_holds_is_one_line(tmp_path, capsys):
     # refusal comes before any point is divided, so no overflow warning
     path = tmp_path / "t.robot"
     path.write_text(GOOD.replace("a=0", "a=1e308"))
-    code, out, err = run(capsys, "volume", str(path), "--samples", "100")
-    assert (code, out) == (1, "")
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: ")
-    # no --voxel value works here, so the message names the cloud, not the flag
-    assert "--voxel" not in err and "no voxel grid holds this cloud" in err
+    # no --voxel value works here, so the message names the cloud, not the
+    # flag, even for a resolution whose own cube overflows
+    for voxel in ("0.02", "1e300"):
+        code, out, err = run(capsys, "volume", str(path), "--samples", "100", "--voxel", voxel)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "--voxel" not in err and "no voxel grid holds this cloud" in err
 
 
 @pytest.mark.parametrize("command", [

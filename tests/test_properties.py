@@ -1,6 +1,7 @@
 """Property tests of the packed voxel keys and the summary on generated
-clouds, of the CLI's block formatter on generated tables, and of the FK
-kernel against the pure-Python reference on generated chains."""
+clouds, of the CLI's block formatter on generated tables, of the FK
+kernel against the pure-Python reference on generated chains, and of
+sampling split at any row on generated chains."""
 
 import math
 from unittest import mock
@@ -15,9 +16,11 @@ from dhworkspace import (
     DHRow,
     PointCloud,
     RobotModel,
+    SampleSpec,
     cli,
     fk_batch,
     forward_kinematics,
+    joint_samples,
     summarize,
     voxelize,
 )
@@ -122,3 +125,15 @@ def test_fk_batch_matches_forward_kinematics(model, data):
         nt.assert_allclose(T, ref_fk(model, q), rtol=0, atol=1e-12)
         # the one-pose entry runs the same kernel: the same bits
         assert np.array_equal(forward_kinematics(model, q), T)
+
+
+# --- sampling at a split point ----------------------------------------------------------------
+
+@settings(deadline=None)
+@given(chains.filter(lambda model: model.movable_count > 0), st.integers(min_value=1, max_value=200),
+       st.integers(min_value=0, max_value=2 ** 64 - 1), st.data())
+def test_any_split_point_gives_the_single_pass_samples(model, n, seed, data):
+    spec = SampleSpec(n=n, seed=seed)
+    split = data.draw(st.integers(min_value=0, max_value=n))
+    halves = np.concatenate([joint_samples(model, spec, 0, split), joint_samples(model, spec, split)])
+    assert halves.tobytes() == joint_samples(model, spec).tobytes()

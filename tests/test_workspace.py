@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import threading
+from unittest import mock
 
 import numpy as np
 import numpy.testing as nt
@@ -14,6 +17,7 @@ from dhworkspace import (
     RobotModel,
     SampleSpec,
     builtin_fixture,
+    fk_batch,
     generate_cloud,
     joint_samples,
     project,
@@ -21,6 +25,8 @@ from dhworkspace import (
     summarize,
     voxelize,
 )
+from dhworkspace import workspace
+from dhworkspace.kinematics import _BLOCK as B
 from dhworkspace.rng import GOLDEN, MASK64, SplitMix64
 from fk_reference import ref_ee
 
@@ -40,6 +46,11 @@ def collapse_limits(model, value=0.0):
 
 def cloud_of(points):
     return PointCloud(points=points, robot="test", seed=0)
+
+
+def cpus(count):
+    """Make generate_cloud see `count` CPUs in the process's affinity mask."""
+    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)), create=True)
 
 
 # the scalar reference that joint_samples is compared against
@@ -125,6 +136,20 @@ def test_joint_samples_needs_a_movable_joint():
     frozen = dataclasses.replace(wam, rows=rows)
     with pytest.raises(ValueError):
         joint_samples(frozen, SampleSpec(n=1))
+    # from the caller's thread alone, and from two workers over three blocks
+    for n in (1, 2 * B + 1):
+        with cpus(2), pytest.raises(ValueError, match="no movable joints"):
+            generate_cloud(frozen, SampleSpec(n=n))
+
+
+def test_joint_samples_row_range_is_a_slice_of_the_matrix():
+    wam = builtin_fixture("wam")
+    spec = SampleSpec(n=100, seed=9)
+    whole = joint_samples(wam, spec)
+    for start, stop in ((0, 100), (0, 1), (37, 64), (99, 100), (50, 50)):
+        part = joint_samples(wam, spec, start, stop)
+        assert part.shape == (stop - start, 6)
+        assert part.tobytes() == whole[start:stop].tobytes()
 
 
 def test_state_for_sample_reconstructs_mid_stream():
@@ -168,6 +193,58 @@ def test_cloud_prefix_is_bitwise_equal():
     small = generate_cloud(wam, SampleSpec(n=500, seed=42))
     large = generate_cloud(wam, SampleSpec(n=2000, seed=42))
     assert np.array_equal(small.points, large.points[:500])
+
+
+@pytest.mark.parametrize("name", ["wam", "smokie"])
+def test_cloud_bytes_do_not_depend_on_the_worker_count(name):
+    model = builtin_fixture(name)
+    for n in (1, B - 1, B, B + 1, 3 * B + 7):
+        spec = SampleSpec(n=n, seed=5)
+        single_pass = fk_batch(model, joint_samples(model, spec))[:, :3, 3]
+        blocks = -(-n // B)
+        for count in (1, 2, 3):
+            with cpus(count), mock.patch.object(threading, "Thread", wraps=threading.Thread) as thread:
+                points = generate_cloud(model, spec).points
+            assert points.tobytes() == single_pass.tobytes()
+            # the caller's thread is worker 0, so one block starts no thread
+            assert thread.call_count == min(count, blocks) - 1
+
+
+def test_a_failing_block_is_raised_after_every_thread_ends():
+    wam = builtin_fixture("wam")
+    spec = SampleSpec(n=3 * B + 7, seed=1)
+    doomed = joint_samples(wam, spec, B, B + 1)[0]  # block 1 starts here; worker 1 runs it
+
+    def fk_batch_failing_at_block_1(model, Q):
+        if np.array_equal(Q[0], doomed):
+            raise MemoryError("block 1")
+        return fk_batch(model, Q)
+
+    before = threading.active_count()
+    with cpus(2), mock.patch.object(workspace, "fk_batch", fk_batch_failing_at_block_1):
+        with pytest.raises(MemoryError, match="block 1"):
+            generate_cloud(wam, spec)
+    assert threading.active_count() == before
+
+
+def test_workers_whose_thread_cannot_start_run_in_the_caller():
+    wam = builtin_fixture("wam")
+    spec = SampleSpec(n=3 * B + 7, seed=2)
+    single_pass = fk_batch(wam, joint_samples(wam, spec))[:, :3, 3]
+    real_start = threading.Thread.start
+    started = []
+
+    def start_one(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        real_start(thread)
+
+    before = threading.active_count()
+    with cpus(3), mock.patch.object(threading.Thread, "start", start_one):
+        points = generate_cloud(wam, spec).points
+    assert len(started) == 1 and threading.active_count() == before
+    assert points.tobytes() == single_pass.tobytes()
 
 
 def test_single_sample_of_degenerate_robot_is_origin():

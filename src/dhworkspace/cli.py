@@ -24,7 +24,7 @@ import tempfile
 
 from .kinematics import REVOLUTE, KinematicsError, forward_kinematics
 from .robotfile import _SEMANTIC_CODES, ERROR, fixture_names, fixture_source, parse_robot
-from .workspace import SampleSpec, generate_cloud, project, summarize
+from .workspace import _BLOCK, SampleSpec, generate_cloud, project, summarize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -32,10 +32,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_FK_DOMAIN = 4
 EXIT_IO = 5
-
-#: rows formatted by one % operation in _rows_text
-_FORMAT_BLOCK = 16384
-
 
 class _Failure(Exception):
     """Abort the command with a message on stderr and a specific exit code."""
@@ -135,13 +131,13 @@ def _write_out(path: str, text: str) -> None:
 def _rows_text(values, sep: str) -> str:
     """One `%.9f` line per row of a 2-D float64 array, values joined by sep.
 
-    Each block of _FORMAT_BLOCK rows is one % operation on one format
+    Each block of workspace._BLOCK rows is one % operation on one format
     string; + 0.0 folds negative zero into "0.000000000".
     """
     row_fmt = sep.join(["%.9f"] * values.shape[1]) + "\n"
     parts = []
-    for start in range(0, values.shape[0], _FORMAT_BLOCK):
-        block = values[start:start + _FORMAT_BLOCK] + 0.0
+    for start in range(0, values.shape[0], _BLOCK):
+        block = values[start:start + _BLOCK] + 0.0
         parts.append((row_fmt * len(block)) % tuple(block.ravel().tolist()))
     return "".join(parts)
 

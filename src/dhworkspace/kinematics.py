@@ -3,7 +3,9 @@
 All lengths are meters, all angles radians. A chain is an ordered list of
 links, each described by the four D-H parameters (a, alpha, d, theta); the
 joint variable adds to theta for revolute joints and to d for prismatic ones.
-Homogeneous transforms are plain 4x4 float64 numpy arrays.
+Homogeneous transforms are plain 4x4 float64 numpy arrays. fk_batch evaluates
+the whole stack it is given; a caller that wants a bounded working set cuts
+the stack into blocks, as workspace.generate_cloud does.
 """
 
 from __future__ import annotations
@@ -135,44 +137,30 @@ def forward_kinematics(model: RobotModel, config) -> np.ndarray:
     return fk_batch(model, _resolve_config(model, config)[None])[0]
 
 
-#: configurations per block in fk_batch; the working set of one block stays
-#: in cache, and a fixed size keeps every row's result independent of n
-_BLOCK = 16384
-
-
 def fk_batch(model: RobotModel, configs: np.ndarray) -> np.ndarray:
     """Forward kinematics for a stack of configurations, shape (n, movable).
 
     Returns an (n, 4, 4) array. Values are NOT limit-checked: this is the
     hot path for workspace sampling, where configurations are within limits
     by construction; forward_kinematics is the checked entry for one pose.
+
+    A row is Rz(theta) @ C with C = Tz(d) @ Tx(a) @ Rx(alpha), and only
+    theta (revolute) or d (prismatic) varies with the configuration. So the
+    running product is kept as its rotation columns c0, c1, c2 and its
+    position p, each (3, n), and every row updates them elementwise; a
+    row's bits do not depend on the rows around it.
     """
     Q = np.asarray(configs, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[1] != model.movable_count:
         raise JointArityError(
             f"expected shape (n, {model.movable_count}), got {Q.shape}"
         )
-    T = np.zeros((Q.shape[0], 4, 4))
-    T[:, 3, 3] = 1.0
-    for start in range(0, Q.shape[0], _BLOCK):
-        _fk_block(model.rows, Q[start:start + _BLOCK], T[start:start + _BLOCK])
-    return T
-
-
-def _fk_block(rows, Q: np.ndarray, out: np.ndarray) -> None:
-    """Write the transforms of the configurations Q into out[:, :3, :].
-
-    A row is Rz(theta) @ C with C = Tz(d) @ Tx(a) @ Rx(alpha), and only
-    theta (revolute) or d (prismatic) varies with the configuration. So the
-    running product is kept as its rotation columns c0, c1, c2 and its
-    position p, each (3, b), and every row updates them elementwise.
-    """
-    b = Q.shape[0]
-    c0, c1, c2 = np.zeros((3, 3, b))
+    n = Q.shape[0]
+    c0, c1, c2 = np.zeros((3, 3, n))
     c0[0] = c1[1] = c2[2] = 1.0
-    p = np.zeros((3, b))
+    p = np.zeros((3, n))
     col = 0
-    for row in rows:
+    for row in model.rows:
         if row.fixed is None:
             q = Q[:, col]
             col += 1
@@ -188,8 +176,11 @@ def _fk_block(rows, Q: np.ndarray, out: np.ndarray) -> None:
         y = c1 * ct - c0 * st
         p += row.a * x + d * c2
         c0, c1, c2 = x, y * ca + c2 * sa, c2 * ca - y * sa
-    columns = out.transpose(2, 1, 0)  # columns[c, r, k] == out[k, r, c]
+    T = np.zeros((n, 4, 4))
+    T[:, 3, 3] = 1.0
+    columns = T.transpose(2, 1, 0)  # columns[c, r, k] == T[k, r, c]
     columns[0, :3], columns[1, :3], columns[2, :3], columns[3, :3] = c0, c1, c2, p
+    return T
 
 
 def reach_bound(model: RobotModel) -> float:

@@ -7,7 +7,7 @@ consumes draws (k-1)*m+1 .. k*m of the stream, where m is the movable
 joint count. The generator state advances additively, so
 rng.bulk_unit(seed, count, offset) with offset = (k-1)*m starts the stream
 at sample k in O(1), which keeps partitioned or resumed runs exactly equal
-to a sequential one.
+to a sequential one; generate_cloud uses it to sample in blocks of _BLOCK.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import _BLOCK, RobotModel, fk_batch
+from .kinematics import RobotModel, fk_batch
 from .rng import bulk_unit
 
 #: bound on voxel indices and on voxels per box, so packed keys fit in int64
@@ -122,6 +122,11 @@ def joint_samples(model: RobotModel, spec: SampleSpec, start: int = 0,
     return Q
 
 
+#: rows per block in generate_cloud and cli._rows_text: it bounds the working
+#: set (a block's draws, kernel columns or format tuple) to a few MB at any n
+_BLOCK = 16384
+
+
 def generate_cloud(model: RobotModel, spec: SampleSpec) -> PointCloud:
     """Sample the joint space and evaluate FK; points in sample order.
 
@@ -174,9 +179,10 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
     """Quantize the cloud onto the origin-anchored grid.
 
     Raises ValueError when the resolution is not a positive finite number,
-    when no resolution with a finite cube is coarse enough for the cloud
-    (the message names the cloud's extent, and this check comes first),
-    when the resolution's cube overflows, or when the grid is too fine for
+    when a point is not finite, when no resolution with a finite cube is
+    coarse enough for the cloud (the message names the cloud's extent;
+    both cloud checks come before the next one), when the resolution's
+    cube overflows, or when the grid is too fine for
     the cloud: a voxel index of magnitude 2**62 or more, or a box of more
     than 2**62 voxels, whose packed keys would not fit in int64.
     """
@@ -184,7 +190,9 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
         raise ValueError(f"voxel resolution must be a positive finite number, got {resolution}")
     points = cloud.points
     if points.shape[0]:
-        bounds = cloud._bounds
+        bounds = cloud._bounds  # min and max propagate nan, so these catch every bad point
+        if not all(map(math.isfinite, bounds[0] + bounds[1])):
+            raise ValueError("the cloud holds a point that is not finite")
         extent = max(abs(v) for side in bounds for v in side)
         try:  # the finest resolution the index limit allows, and so every coarser one
             (extent / _INDEX_LIMIT) ** 3
@@ -220,13 +228,12 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
 
 
 def project(cloud: PointCloud, plane: str) -> np.ndarray:
-    """(n, 2) view of the cloud: xy drops z, xz drops y, yz drops x."""
-    columns = {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}
+    """(n, 2) read-only view of the cloud: xy drops z, xz drops y, yz drops x."""
+    columns = {"xy": np.s_[:, :2], "xz": np.s_[:, ::2], "yz": np.s_[:, 1:]}
     try:
-        i, j = columns[plane]
+        return cloud.points[columns[plane]]
     except KeyError:
         raise ValueError(f"plane must be one of xy, xz, yz; got {plane!r}") from None
-    return cloud.points[:, (i, j)]
 
 
 def summarize(cloud: PointCloud, resolution: float) -> dict:

@@ -20,7 +20,7 @@ from dhworkspace import (
     forward_kinematics,
     reach_bound,
 )
-from dhworkspace.kinematics import _BLOCK as BLOCK
+from dhworkspace.workspace import _BLOCK as BLOCK
 from fk_reference import ref_fk
 
 #: entrywise bound on the kernel's distance from the pure-Python reference
@@ -219,7 +219,8 @@ def test_fk_batch_prefix_is_bitwise_stable():
     Q = np.random.default_rng(3).uniform(lims[:, 0], lims[:, 1],
                                          size=(BLOCK + 64, 6))
     full = fk_batch(model, Q)
-    # 16 rows sit inside the first block; BLOCK + 1 rows cross its boundary
+    # a row's bits do not depend on the rows around it: 16 rows sit inside
+    # generate_cloud's first block, BLOCK + 1 rows cross its boundary
     for n in (16, BLOCK + 1):
         assert np.array_equal(fk_batch(model, Q[:n]), full[:n])
 
@@ -261,8 +262,9 @@ def test_fk_batch_matches_scalar_path_across_block_boundaries():
                                           size=(max(sizes), len(lims)))
     full = fk_batch(m, Q)
     # the pure-Python reference is slow, so it checks the full batch on
-    # either side of every block boundary and at random rows; each shorter
-    # batch must equal the full batch's prefix
+    # either side of every boundary of generate_cloud's blocks and at random
+    # rows; each shorter batch must equal the full batch's prefix, since a
+    # row's bits do not depend on the rows around it
     picks = {0, len(Q) - 1}
     for edge in range(BLOCK, len(Q), BLOCK):
         picks |= {edge - 2, edge - 1, edge, edge + 1}

@@ -1,9 +1,11 @@
 """Property tests of the packed voxel keys and the summary on generated
 clouds, of the CLI's block formatter on generated tables, of the FK
 kernel against the pure-Python reference on generated chains, and of
-sampling split at any row on generated chains."""
+sampling split at any row, and the cloud cut into blocks of any size, on
+generated chains."""
 
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -20,9 +22,11 @@ from dhworkspace import (
     cli,
     fk_batch,
     forward_kinematics,
+    generate_cloud,
     joint_samples,
     summarize,
     voxelize,
+    workspace,
 )
 from fk_reference import ref_fk
 
@@ -89,7 +93,7 @@ def reference_rows(table, sep):
 @settings(deadline=None)
 @given(tables, st.integers(min_value=1, max_value=7), st.sampled_from([",", " "]))
 def test_rows_text_matches_per_value_reference(table, block, sep):
-    with mock.patch.object(cli, "_FORMAT_BLOCK", block):
+    with mock.patch.object(cli, "_BLOCK", block):
         assert cli._rows_text(table, sep) == reference_rows(table, sep)
         assert cli._csv_lines("h", table) == "h\n" + reference_rows(table, ",")
 
@@ -137,3 +141,15 @@ def test_any_split_point_gives_the_single_pass_samples(model, n, seed, data):
     split = data.draw(st.integers(min_value=0, max_value=n))
     halves = np.concatenate([joint_samples(model, spec, 0, split), joint_samples(model, spec, split)])
     assert halves.tobytes() == joint_samples(model, spec).tobytes()
+
+
+@settings(deadline=None)
+@given(chains.filter(lambda model: model.movable_count > 0), st.integers(min_value=1, max_value=64),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2 ** 64 - 1), st.data())
+def test_any_block_size_gives_the_single_pass_cloud(model, block, workers, seed, data):
+    spec = SampleSpec(n=data.draw(st.integers(min_value=1, max_value=5 * block)), seed=seed)
+    single_pass = fk_batch(model, joint_samples(model, spec))[:, :3, 3]
+    with mock.patch.object(workspace, "_BLOCK", block), \
+            mock.patch.object(os, "sched_getaffinity", return_value=set(range(workers)), create=True):
+        points = generate_cloud(model, spec).points
+    assert points.tobytes() == single_pass.tobytes()

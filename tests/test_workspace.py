@@ -26,7 +26,7 @@ from dhworkspace import (
     voxelize,
 )
 from dhworkspace import workspace
-from dhworkspace.kinematics import _BLOCK as B
+from dhworkspace.workspace import _BLOCK as B
 from dhworkspace.rng import GOLDEN, MASK64, SplitMix64
 from fk_reference import ref_ee
 
@@ -345,6 +345,16 @@ def test_voxel_rejects_grids_that_overflow():
     assert voxelize(unit, 1e-6).occupied_count == 2
 
 
+@pytest.mark.parametrize("points", [[[math.nan, 0.0, 0.0], [1.0, 1.0, 1.0]],
+                                    [[0.0, 0.0, 0.0], [math.nan, 1.0, 1.0]],
+                                    [[math.inf, 0.0, 0.0]], [[0.0, -math.inf, 0.0]]])
+def test_a_point_that_is_not_finite_is_named(points):
+    cloud = cloud_of(points)
+    for reduce in (voxelize, summarize):
+        with pytest.raises(ValueError, match="a point that is not finite"):
+            reduce(cloud, 0.02)
+
+
 def test_voxel_count_matches_tuple_set_with_negative_coordinates():
     rng = np.random.default_rng(12)
     points = rng.uniform(-1.3, 0.4, size=(3000, 3))
@@ -422,6 +432,14 @@ def test_projection_preserves_order():
     cloud = generate_cloud(builtin_fixture("wam"), SampleSpec(n=100, seed=2))
     uv = project(cloud, "xz")
     assert np.array_equal(uv, cloud.points[:, [0, 2]])
+
+
+def test_projection_is_a_read_only_view():
+    cloud = cloud_of(np.arange(12.0).reshape(4, 3))
+    for plane in ("xy", "xz", "yz"):
+        uv = project(cloud, plane)
+        assert np.shares_memory(uv, cloud.points)
+        assert not uv.flags.writeable
 
 
 def test_projection_rejects_unknown_plane():

@@ -23,6 +23,7 @@ import sys
 import tempfile
 
 from .kinematics import REVOLUTE, KinematicsError, forward_kinematics
+from .rng import MASK64
 from .robotfile import _SEMANTIC_CODES, ERROR, fixture_names, fixture_source, parse_robot
 from .workspace import _BLOCK, SampleSpec, generate_cloud, project, summarize
 
@@ -55,8 +56,8 @@ def _positive_int(raw: str) -> int:
 
 def _seed(raw: str) -> int:
     value = int(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
+    if not 0 <= value <= MASK64:  # as SampleSpec requires
+        raise argparse.ArgumentTypeError("must be in 0 .. 2**64 - 1")
     return value
 
 
@@ -75,7 +76,7 @@ def _read_source(source_arg: str):
         except ValueError as exc:
             raise _Failure(EXIT_USAGE, str(exc)) from None
     try:
-        with open(source_arg, encoding="utf-8") as handle:
+        with open(source_arg, encoding="utf-8-sig") as handle:  # drops a leading BOM
             return handle.read(), source_arg
     except UnicodeDecodeError:
         raise _Failure(EXIT_PARSE, f"{source_arg}: not valid UTF-8 text") from None
@@ -120,11 +121,13 @@ def _write_out(path: str, text: str) -> None:
         with os.fdopen(fd, "wb") as handle:
             handle.write(text.encode("utf-8"))
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:  # MemoryError or KeyboardInterrupt too: no temp file stays
         try:
             os.unlink(tmp)
         except OSError:
             pass
+        if not isinstance(exc, OSError):
+            raise
         raise _Failure(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}") from None
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import RobotModel, fk_batch
-from .rng import bulk_unit
+from .rng import MASK64, bulk_unit
 
 #: bound on voxel indices and on voxels per box, so packed keys fit in int64
 _INDEX_LIMIT = 2 ** 62
@@ -37,14 +37,16 @@ class SampleSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"sample count must be >= 1, got {self.n}")
+        if not 0 <= self.seed <= MASK64:  # bulk_unit would alias it to seed & MASK64
+            raise ValueError(f"seed must be in 0 .. 2**64 - 1, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """End-effector positions in sample order, with their provenance.
 
-    The cloud keeps its own read-only copy of the points, so their cached
-    per-axis bounds always hold.
+    A cloud holds at least one point. It keeps its own read-only copy of
+    the points, so their cached per-axis bounds always hold.
     """
 
     points: np.ndarray  # (k, 3) float64, meters
@@ -53,14 +55,14 @@ class PointCloud:
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.array(self.points, dtype=np.float64, order="C"))
-        if self.points.shape[1:] != (3,):
-            raise ValueError(f"points shape {self.points.shape} is not (k, 3)")
+        if self.points.shape[1:] != (3,) or self.points.size == 0:
+            raise ValueError(f"points shape {self.points.shape} is not (k, 3) with k >= 1")
         self.points.flags.writeable = False
 
     @functools.cached_property
     def _bounds(self) -> tuple:
-        """(per-axis minima, per-axis maxima) of a non-empty cloud, computed once
-        for the voxel box and the bounding box; column passes beat (n, 3) rows."""
+        """(per-axis minima, per-axis maxima), computed once for the voxel box
+        and the bounding box; column passes beat (n, 3) rows."""
         columns = self.points.T
         return tuple(float(c.min()) for c in columns), tuple(float(c.max()) for c in columns)
 
@@ -93,10 +95,6 @@ class VoxelGrid:
     @property
     def occupied_count(self) -> int:
         return self.keys.size
-
-    @property
-    def volume_estimate(self) -> float:
-        return self.occupied_count * self.resolution ** 3
 
 
 def joint_samples(model: RobotModel, spec: SampleSpec, start: int = 0,
@@ -179,35 +177,27 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
     """Quantize the cloud onto the origin-anchored grid.
 
     Raises ValueError when the resolution is not a positive finite number,
-    when a point is not finite, when no resolution with a finite cube is
-    coarse enough for the cloud (the message names the cloud's extent;
-    both cloud checks come before the next one), when the resolution's
-    cube overflows, or when the grid is too fine for
-    the cloud: a voxel index of magnitude 2**62 or more, or a box of more
-    than 2**62 voxels, whose packed keys would not fit in int64.
+    when a point is not finite, when no resolution whose cube summarize
+    can take is coarse enough for the cloud (the message names the cloud's
+    extent, not the resolution), or when the grid is too fine for the
+    cloud: a voxel index of magnitude 2**62 or more, or a box of more than
+    2**62 voxels, whose packed keys would not fit in int64.
     """
     if not (resolution > 0 and math.isfinite(resolution)):
         raise ValueError(f"voxel resolution must be a positive finite number, got {resolution}")
     points = cloud.points
-    if points.shape[0]:
-        bounds = cloud._bounds  # min and max propagate nan, so these catch every bad point
-        if not all(map(math.isfinite, bounds[0] + bounds[1])):
-            raise ValueError("the cloud holds a point that is not finite")
-        extent = max(abs(v) for side in bounds for v in side)
-        try:  # the finest resolution the index limit allows, and so every coarser one
-            (extent / _INDEX_LIMIT) ** 3
-        except OverflowError:
-            raise ValueError(f"no voxel grid holds this cloud: it reaches {extent} m along an axis") from None
-    try:
-        resolution ** 3  # as in VoxelGrid.volume_estimate
+    bounds = cloud._bounds  # min and max propagate nan, so these catch every bad point
+    if not all(map(math.isfinite, bounds[0] + bounds[1])):
+        raise ValueError("the cloud holds a point that is not finite")
+    extent = max(abs(v) for side in bounds for v in side)
+    try:  # the finest resolution the index limit allows: if its cube overflows, so do all coarser ones
+        (extent / _INDEX_LIMIT) ** 3
     except OverflowError:
-        raise ValueError(f"voxel resolution {resolution} is too coarse: "
-                         "the voxel volume overflows") from None
-    if points.shape[0] == 0:
-        return VoxelGrid(resolution, np.empty(0, dtype=np.int64), (0, 0, 0), (0, 0, 0))
-    # division by a positive resolution and floor are monotone, so the six
-    # bounds give the index check and the box before any point is divided
-    if not all(abs(v) / resolution < _INDEX_LIMIT for side in bounds for v in side):
+        raise ValueError(f"no voxel grid holds this cloud: it reaches {extent} m along an axis") from None
+    # division by a positive resolution and floor are monotone, so the
+    # extent gives the index check, and the six bounds the box, before any
+    # point is divided
+    if extent / resolution >= _INDEX_LIMIT:
         raise ValueError(f"voxel resolution {resolution} is too fine for this cloud: "
                          "a voxel index reaches 2**62")
     lo, hi = ([math.floor(v / resolution) for v in side] for side in bounds)
@@ -237,13 +227,16 @@ def project(cloud: PointCloud, plane: str) -> np.ndarray:
 
 
 def summarize(cloud: PointCloud, resolution: float) -> dict:
-    """The JSON record `volume` prints: provenance, voxel-occupancy volume,
-    max reach and bounding box. Raises ValueError for an empty cloud, a
-    resolution voxelize rejects, or a volume that is not finite."""
-    if cloud.points.shape[0] == 0:
-        raise ValueError("cannot summarize an empty cloud")
+    """The JSON record `volume` prints: provenance, voxel-occupancy volume
+    (occupied count times the voxel's cube), max reach and bounding box.
+    Raises ValueError for a resolution voxelize rejects, a voxel whose cube
+    overflows, or a volume that is not finite."""
     grid = voxelize(cloud, resolution)
-    volume = grid.volume_estimate
+    try:
+        volume = grid.occupied_count * resolution ** 3
+    except OverflowError:
+        raise ValueError(f"voxel resolution {resolution} is too coarse: "
+                         "the voxel volume overflows") from None
     if not math.isfinite(volume):
         raise ValueError(f"voxel resolution {resolution} is too coarse: the volume {volume} is not finite")
     x, y, z = cloud.points.T

@@ -288,6 +288,26 @@ def test_unwritable_output_exits_5(tmp_path, capsys):
     assert list(target.iterdir()) == []
 
 
+@pytest.mark.parametrize("name, exc, code", [
+    ("fdopen", MemoryError, 1),  # as when text.encode cannot get its copy
+    ("replace", KeyboardInterrupt, None),
+])
+def test_failed_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch, name, exc, code):
+    # an exception that is not an OSError still removes the temp file, and
+    # reaches main unchanged: MemoryError is its one-line exit 1, Ctrl-C stays
+    def fail(*args, **kwargs):
+        raise exc()
+
+    monkeypatch.setattr(os, name, fail)
+    argv = ["workspace", "builtin:wam", "--samples", "100", "--out", str(tmp_path / "c.csv")]
+    if code is None:
+        with pytest.raises(exc):
+            main(argv)
+    else:
+        assert run(capsys, *argv) == (code, "", "error: not enough memory for --samples 100\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_subcommand_exits_1(capsys):
     assert run(capsys, )[0] == 1
 
@@ -300,7 +320,11 @@ def test_bad_flag_value_exits_1(capsys):
     assert run(capsys, "workspace", "builtin:wam", "--samples", "0",
                "--out", "x.csv")[0] == 1
     assert run(capsys, "volume", "builtin:wam", "--voxel", "-1")[0] == 1
-    assert run(capsys, "volume", "builtin:wam", "--seed", "-1")[0] == 1
+    # bulk_unit reads the seed modulo 2**64: a larger one would alias a smaller
+    for seed in ("-1", str(2 ** 64)):
+        code, out, err = run(capsys, "volume", "builtin:wam", "--seed", seed)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and "--seed" in err
 
 
 @pytest.mark.parametrize("voxel, message", [
@@ -357,6 +381,21 @@ def test_impossible_sample_count_exits_1(tmp_path, capsys, command):
 
 def test_missing_required_flag_exits_1(capsys):
     assert run(capsys, "workspace", "builtin:wam")[0] == 1
+
+
+def test_byte_order_mark_is_not_part_of_the_file(tmp_path, capsys):
+    path = tmp_path / "bom.robot"
+    path.write_bytes(b"\xef\xbb\xbf" + GOOD.encode())
+    assert run(capsys, "validate", str(path)) == (0, "", "")
+    # diagnostics point at the same line and column with and without the mark
+    reports = []
+    for name, prefix in (("plain.robot", b""), ("bom.robot", b"\xef\xbb\xbf")):
+        path = tmp_path / name
+        path.write_bytes(prefix + GOOD.replace('"T"', "T").encode())
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2 and "[bad-robot-name]" in err
+        reports.append(err.removeprefix(str(path)))
+    assert reports[0] == reports[1]
 
 
 def test_non_utf8_file_exits_2(tmp_path, capsys):

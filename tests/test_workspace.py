@@ -77,6 +77,15 @@ def test_spec_rejects_nonpositive_n():
         SampleSpec(n=0)
 
 
+def test_spec_rejects_seeds_outside_64_bits():
+    # bulk_unit reads a seed modulo 2**64, so 2**64 + 42 would draw seed 42's
+    # stream while the cloud records the larger number
+    for seed in (-1, 2 ** 64, 2 ** 64 + 42):
+        with pytest.raises(ValueError, match="seed"):
+            SampleSpec(n=1, seed=seed)
+    assert SampleSpec(n=1, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
 def test_sample_config_respects_limits_and_skips_fixed():
     wam = builtin_fixture("wam")
     state = SplitMix64(123)
@@ -277,7 +286,7 @@ def test_cloud_points_are_read_only():
 
 
 def test_point_cloud_shape_is_checked():
-    for shape in ((3,), (3, 2), (3, 3, 1)):
+    for shape in ((3,), (3, 2), (3, 3, 1), (0, 3)):
         with pytest.raises(ValueError):
             PointCloud(points=np.zeros(shape), robot="x", seed=0)
 
@@ -316,8 +325,9 @@ def test_voxel_set_semantics():
 
 
 def test_voxel_empty_cloud():
-    grid = voxelize(cloud_of(np.empty((0, 3))), 0.01)
-    assert grid.occupied_count == 0
+    # a cloud holds at least one point, so voxelize never sees an empty one
+    with pytest.raises(ValueError, match="k >= 1"):
+        cloud_of(np.empty((0, 3)))
 
 
 def test_voxel_rejects_nonpositive_resolution():
@@ -332,8 +342,10 @@ def test_voxel_rejects_grids_that_overflow():
     for resolution in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             voxelize(unit, resolution)
+    # the voxel's cube is summarize's business: voxelize packs the one voxel
+    assert voxelize(unit, 1e300).occupied_count == 1
     with pytest.raises(ValueError, match="overflows"):
-        voxelize(unit, 1e300)
+        summarize(unit, 1e300)
     with pytest.raises(ValueError, match="index"):
         voxelize(unit, 1e-20)
     # only the minimum reaches the limit: -1 / 1e-19 = -1e19 < -2**62
@@ -389,8 +401,9 @@ def test_voxel_order_independence():
 
 
 def test_volume_estimate_identity():
-    grid = voxelize(cloud_of(np.random.default_rng(1).uniform(-1, 1, (200, 3))), 0.07)
-    assert grid.volume_estimate == grid.occupied_count * 0.07 ** 3
+    cloud = cloud_of(np.random.default_rng(1).uniform(-1, 1, (200, 3)))
+    grid = voxelize(cloud, 0.07)
+    assert summarize(cloud, 0.07)["volume_m3"] == grid.occupied_count * 0.07 ** 3
 
 
 def test_every_cloud_point_is_reachable_in_its_grid():

@@ -10,7 +10,9 @@ Exit codes: 0 success, 1 usage error, 2 parse error in the robot file,
 4 FK domain error (wrong arity or out-of-limit joint value), 5 I/O error.
 Diagnostics and error messages go to stderr; output files are written
 atomically (temp file + rename). Every number in CSV, PLY and fk output is
-printed `%.9f` by one helper, `_rows_text`.
+the `%.9f` text of its value, written by one helper, `_rows_text`: digits come
+from integer lookup tables, and a block holding a value that rounds to 1000 or
+more, is not finite or lies near a rounding tie is printed with `%` instead.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import math
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 from .kinematics import REVOLUTE, KinematicsError, forward_kinematics
 from .rng import MASK64
@@ -131,17 +135,74 @@ def _write_out(path: str, text: str) -> None:
         raise _Failure(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _words(*columns):
+    """One native uint32 per entry whose four bytes are the columns' codes, in order."""
+    return np.stack(np.broadcast_arrays(*columns), axis=1).astype(np.uint8).view(np.uint32).ravel()
+
+
+# Four 4-byte words spell one `%.9f` value and what follows it: sign and integer
+# digits ("-ddd", indexed by the integer part, + 1000 when negative), ".ddd",
+# "ddd" and "ddd" + separator. NUL bytes stand for an absent sign, leading zeros
+# and the filler after the middle group; the formatter deletes them.
+_N = np.arange(1000)
+_DIGITS = (48 + _N // 100, 48 + _N // 10 % 10, 48 + _N % 10)
+_INTEGER = (np.where(_N >= 100, _DIGITS[0], 0), np.where(_N >= 10, _DIGITS[1], 0), _DIGITS[2])
+_HEAD = np.concatenate([_words(0, *_INTEGER), _words(ord("-"), *_INTEGER)])
+_POINT = _words(ord("."), *_DIGITS)
+_MIDDLE = _words(*_DIGITS, 0)
+_LAST = {sep: _words(*_DIGITS, ord(sep)) for sep in ", \n"}
+
+
+def _digit_text(block, sep: str):
+    """`%.9f` lines of a 2-D float64 block built from integer digits, or None.
+
+    k = rint(|x| * 1e9) is x's nine-decimal rounding unless the exact product
+    lies near a tie, where the rounding of the product may decide it: such a
+    block gives None, as does one with a value that rounds to 1000 or more or
+    is not finite. sep is "," or " ".
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan and 1e300 fail the range test
+        scaled = np.abs(block) * 1e9
+        k = np.rint(scaled)
+        if not (k < 1e12).all():
+            return None
+    # rounding the product moved it by at most scaled * 2**-53 (exact, like the
+    # distance to the nearest half-integer, as scaled < 2**40)
+    if (np.abs(np.abs(scaled - k) - 0.5) <= scaled * 2.0 ** -53).any():
+        return None
+    k = k.astype(np.intp)  # split with // and a product: np.divmod is several times slower
+    thousands = k // 1000
+    last = k - thousands * 1000
+    millions = thousands // 1000
+    middle = thousands - millions * 1000
+    head = millions // 1000
+    point = millions - head * 1000
+    head += (block < 0) * 1000  # -0.0 is not < 0, so it prints as 0.000000000
+    words = np.empty(block.shape + (4,), np.uint32)
+    np.take(_HEAD, head, out=words[:, :, 0])
+    np.take(_POINT, point, out=words[:, :, 1])
+    np.take(_MIDDLE, middle, out=words[:, :, 2])
+    np.take(_LAST[sep], last[:, :-1], out=words[:, :-1, 3])
+    np.take(_LAST["\n"], last[:, -1], out=words[:, -1, 3])
+    return words.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _rows_text(values, sep: str) -> str:
     """One `%.9f` line per row of a 2-D float64 array, values joined by sep.
 
-    Each block of workspace._BLOCK rows is one % operation on one format
+    Each block of workspace._BLOCK rows is built from integer digits by
+    _digit_text or, where that declines, by one % operation on one format
     string; + 0.0 folds negative zero into "0.000000000".
     """
     row_fmt = sep.join(["%.9f"] * values.shape[1]) + "\n"
     parts = []
     for start in range(0, values.shape[0], _BLOCK):
-        block = values[start:start + _BLOCK] + 0.0
-        parts.append((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+        block = values[start:start + _BLOCK]
+        text = _digit_text(block, sep)
+        if text is None:
+            block = block + 0.0
+            text = (row_fmt * len(block)) % tuple(block.ravel().tolist())
+        parts.append(text)
     return "".join(parts)
 
 

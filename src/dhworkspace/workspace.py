@@ -121,7 +121,8 @@ def joint_samples(model: RobotModel, spec: SampleSpec, start: int = 0,
 
 
 #: rows per block in generate_cloud and cli._rows_text: it bounds the working
-#: set (a block's draws, kernel columns or format tuple) to a few MB at any n
+#: set (a block's draws and kernel columns, or its digit words and text) to a
+#: few MB at any n
 _BLOCK = 16384
 
 

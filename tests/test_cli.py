@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import dhworkspace
-from dhworkspace import SampleSpec, builtin_fixture, generate_cloud, summarize
+from dhworkspace import SampleSpec, builtin_fixture, cli, generate_cloud, summarize
 from dhworkspace.cli import main
+from dhworkspace.workspace import _BLOCK
 
 GOOD = 'robot "T"\nunits m\njoint 1 type=revolute a=0 alpha=0 d=0 offset=0 min=-1 max=1\n'
 
@@ -163,6 +164,18 @@ def test_workspace_csv_content(tmp_path, capsys):
     cloud = generate_cloud(builtin_fixture("wam"), SampleSpec(n=5, seed=9))
     expected = ["%.9f,%.9f,%.9f" % tuple(p) for p in cloud.points.tolist()]
     assert lines[1:] == expected
+
+
+def test_digit_path_formats_the_cloud_and_declines_only_where_it_must():
+    # the golden digests hold whichever path writes a block; this pins which one
+    points = generate_cloud(builtin_fixture("wam"), SampleSpec(n=49159, seed=42)).points
+    blocks = [points[start:start + _BLOCK] for start in range(0, len(points), _BLOCK)]
+    assert all(cli._digit_text(block, ",") is not None for block in blocks)
+    # rounds to 1000.000000000, overflows the scaling, is an exact tie, is not finite
+    for value in (999.9999999995, 1e300, 2.0 ** -10, math.nan):
+        block = blocks[-1].copy()
+        block[3, 1] = value
+        assert cli._digit_text(block, ",") is None, value
 
 
 def test_workspace_runs_are_byte_identical(tmp_path, capsys):

@@ -98,6 +98,28 @@ def test_rows_text_matches_per_value_reference(table, block, sep):
         assert cli._csv_lines("h", table) == "h\n" + reference_rows(table, ",")
 
 
+# the digit path's edges: near-ties (k + 1/2)·1e-9 and their neighbours;
+# magnitudes within 1e-6 of 1000 and within 10**4 ulps of it, where
+# 999.9999999995 rounds up to 1000.000000000; negatives that round to zero;
+# signed zeros. Values in [-2, 2] put blocks that take the digit path beside
+# blocks that fall back.
+near_ties = st.integers(min_value=0, max_value=10 ** 12).map(lambda k: (k + 0.5) / 1e9).flatmap(
+    lambda x: st.sampled_from([x, math.nextafter(x, math.inf), math.nextafter(x, 0.0)]))
+near_thousand = (st.integers(min_value=-10 ** 4, max_value=10 ** 4).map(lambda j: 1000 + j * 2.0 ** -43)
+                 | st.floats(min_value=1000 - 1e-6, max_value=1000 + 1e-6) | st.just(999.9999999995))
+digit_edges = ((near_ties | near_thousand).flatmap(lambda x: st.sampled_from([x, -x]))
+               | st.sampled_from([0.0, -0.0, -4e-10, -5e-324]) | st.floats(min_value=-2.0, max_value=2.0))
+edge_tables = st.tuples(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=4)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=digit_edges))
+
+
+@settings(deadline=None)
+@given(edge_tables, st.integers(min_value=1, max_value=7), st.sampled_from([",", " "]))
+def test_digit_path_matches_per_value_reference_at_its_edges(table, block, sep):
+    with mock.patch.object(cli, "_BLOCK", block):
+        assert cli._rows_text(table, sep) == reference_rows(table, sep)
+
+
 # --- fk_batch against the reference and forward_kinematics ----------------------------------------
 
 lengths = st.floats(min_value=-2.0, max_value=2.0)

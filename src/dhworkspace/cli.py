@@ -10,9 +10,10 @@ Exit codes: 0 success, 1 usage error, 2 parse error in the robot file,
 4 FK domain error (wrong arity or out-of-limit joint value), 5 I/O error.
 Diagnostics and error messages go to stderr; output files are written
 atomically (temp file + rename). Every number in CSV, PLY and fk output is
-the `%.9f` text of its value, written by one helper, `_rows_text`: digits come
-from integer lookup tables, and a block holding a value that rounds to 1000 or
-more, is not finite or lies near a rounding tie is printed with `%` instead.
+the `%.9f` text of its value, written by one helper, `_rows_text`, as bytes
+into one buffer that starts with the output's header: digits come from integer
+lookup tables, and a block holding a value that rounds to 1000 or more, is not
+finite or lies near a rounding tie is printed with `%` instead.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def _require_model(source_arg: str):
     return model
 
 
-def _write_out(path: str, text: str) -> None:
+def _write_out(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".")
@@ -123,7 +124,7 @@ def _write_out(path: str, text: str) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as handle:
-            handle.write(text.encode("utf-8"))
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException as exc:  # MemoryError or KeyboardInterrupt too: no temp file stays
         try:
@@ -154,7 +155,7 @@ _LAST = {sep: _words(*_DIGITS, ord(sep)) for sep in ", \n"}
 
 
 def _digit_text(block, sep: str):
-    """`%.9f` lines of a 2-D float64 block built from integer digits, or None.
+    """ASCII `%.9f` lines of a 2-D float64 block built from integer digits, or None.
 
     k = rint(|x| * 1e9) is x's nine-decimal rounding unless the exact product
     lies near a tie, where the rounding of the product may decide it: such a
@@ -184,33 +185,30 @@ def _digit_text(block, sep: str):
     np.take(_MIDDLE, middle, out=words[:, :, 2])
     np.take(_LAST[sep], last[:, :-1], out=words[:, :-1, 3])
     np.take(_LAST["\n"], last[:, -1], out=words[:, -1, 3])
-    return words.tobytes().translate(None, b"\0").decode("ascii")
+    return words.tobytes().translate(None, b"\0")
 
 
-def _rows_text(values, sep: str) -> str:
-    """One `%.9f` line per row of a 2-D float64 array, values joined by sep.
+def _rows_text(head: str, values, sep: str) -> bytearray:
+    """head as UTF-8, then one `%.9f` line per row of a 2-D float64 array,
+    values joined by sep, in one buffer.
 
     Each block of workspace._BLOCK rows is built from integer digits by
     _digit_text or, where that declines, by one % operation on one format
     string; + 0.0 folds negative zero into "0.000000000".
     """
     row_fmt = sep.join(["%.9f"] * values.shape[1]) + "\n"
-    parts = []
+    text = bytearray(head.encode("utf-8"))
     for start in range(0, values.shape[0], _BLOCK):
         block = values[start:start + _BLOCK]
-        text = _digit_text(block, sep)
-        if text is None:
+        digits = _digit_text(block, sep)
+        if digits is None:
             block = block + 0.0
-            text = (row_fmt * len(block)) % tuple(block.ravel().tolist())
-        parts.append(text)
-    return "".join(parts)
+            digits = ((row_fmt * len(block)) % tuple(block.ravel().tolist())).encode()
+        text += digits
+    return text
 
 
-def _csv_lines(header: str, values) -> str:
-    return header + "\n" + _rows_text(values, ",")
-
-
-def _ply_text(cloud) -> str:
+def _ply_text(cloud) -> bytearray:
     lines = [
         "ply",
         "format ascii 1.0",
@@ -221,7 +219,7 @@ def _ply_text(cloud) -> str:
         "property double z",
         "end_header",
     ]
-    return "\n".join(lines) + "\n" + _rows_text(cloud.points, " ")
+    return _rows_text("\n".join(lines) + "\n", cloud.points, " ")
 
 
 def _cmd_validate(args) -> int:
@@ -248,7 +246,7 @@ def _cmd_fk(args) -> int:
         T = forward_kinematics(model, q)
     except KinematicsError as exc:
         raise _Failure(EXIT_FK_DOMAIN, str(exc)) from None
-    sys.stdout.write(_rows_text(T, " ") + _rows_text(T[None, :3, 3], " "))
+    sys.stdout.write((_rows_text("", T, " ") + _rows_text("", T[None, :3, 3], " ")).decode())
     return EXIT_OK
 
 
@@ -256,10 +254,10 @@ def _cmd_workspace(args) -> int:
     model = _require_model(args.robot)
     cloud = generate_cloud(model, SampleSpec(n=args.samples, seed=args.seed))
     if args.format == "csv":
-        text = _csv_lines("x,y,z", cloud.points)
+        data = _rows_text("x,y,z\n", cloud.points, ",")
     else:
-        text = _ply_text(cloud)
-    _write_out(args.out, text)
+        data = _ply_text(cloud)
+    _write_out(args.out, data)
     return EXIT_OK
 
 
@@ -267,7 +265,7 @@ def _cmd_project(args) -> int:
     model = _require_model(args.robot)
     cloud = generate_cloud(model, SampleSpec(n=args.samples, seed=args.seed))
     uv = project(cloud, args.plane)
-    _write_out(args.out, _csv_lines("u,v", uv))
+    _write_out(args.out, _rows_text("u,v\n", uv, ","))
     return EXIT_OK
 
 

@@ -2,7 +2,7 @@
 
 Joint configurations are drawn uniformly within each movable joint's limits
 from a single splitmix64 stream, so a cloud is fully determined by
-(model, n, seed) and is byte-reproducible across platforms. Sample k
+(model, n, seed) and is byte-reproducible under the same libm. Sample k
 consumes draws (k-1)*m+1 .. k*m of the stream, where m is the movable
 joint count. The generator state advances additively, so
 rng.bulk_unit(seed, count, offset) with offset = (k-1)*m starts the stream
@@ -179,10 +179,10 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
 
     Raises ValueError when the resolution is not a positive finite number,
     when a point is not finite, when no resolution whose cube summarize
-    can take is coarse enough for the cloud (the message names the cloud's
-    extent, not the resolution), or when the grid is too fine for the
-    cloud: a voxel index of magnitude 2**62 or more, or a box of more than
-    2**62 voxels, whose packed keys would not fit in int64.
+    can take holds the cloud (the message names the cloud's bounds, not
+    the resolution), or when the grid is too fine for the cloud: a voxel
+    index of magnitude 2**62 or more, or a box of more than 2**62 voxels,
+    whose packed keys would not fit in int64.
     """
     if not (resolution > 0 and math.isfinite(resolution)):
         raise ValueError(f"voxel resolution must be a positive finite number, got {resolution}")
@@ -191,10 +191,14 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
     if not all(map(math.isfinite, bounds[0] + bounds[1])):
         raise ValueError("the cloud holds a point that is not finite")
     extent = max(abs(v) for side in bounds for v in side)
-    try:  # the finest resolution the index limit allows: if its cube overflows, so do all coarser ones
-        (extent / _INDEX_LIMIT) ** 3
-    except OverflowError:
-        raise ValueError(f"no voxel grid holds this cloud: it reaches {extent} m along an axis") from None
+    # an accepted resolution r has r > extent / 2**62 (the index limit) and
+    # r**3 > w0 / 2**62 * w1 * w2 (the box limit, as an axis of width
+    # w = max - min spans more than w / r voxels): where either lower bound
+    # on r**3 overflows, no r**3 is finite, and summarize needs one that is
+    finest = extent / _INDEX_LIMIT
+    w0, w1, w2 = (h - l for l, h in zip(*bounds))
+    if not (math.isfinite(finest * finest * finest) and math.isfinite(w0 / _INDEX_LIMIT * w1 * w2)):
+        raise ValueError(f"no voxel grid holds this cloud: its bounds are {bounds[0]} and {bounds[1]} m")
     # division by a positive resolution and floor are monotone, so the
     # extent gives the index check, and the six bounds the box, before any
     # point is divided

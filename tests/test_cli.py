@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dhworkspace
-from dhworkspace import SampleSpec, builtin_fixture, cli, generate_cloud, summarize
+from dhworkspace import SampleSpec, builtin_fixture, cli, generate_cloud, parse_robot, summarize
 from dhworkspace.cli import main
 from dhworkspace.workspace import _BLOCK
 
@@ -176,6 +176,35 @@ def test_digit_path_formats_the_cloud_and_declines_only_where_it_must():
         block = blocks[-1].copy()
         block[3, 1] = value
         assert cli._digit_text(block, ",") is None, value
+
+
+@pytest.mark.parametrize("fmt, sep, header_lines", [("csv", ",", 1), ("ply", " ", 8)])
+def test_fallback_blocks_reach_the_file(tmp_path, capsys, fmt, sep, header_lines):
+    # a 1500 m link puts values of 1000 or more in every block, so each one
+    # is printed with % and encoded on its way to the file
+    far = GOOD.replace("a=0", "a=1500")
+    path = tmp_path / "far.robot"
+    path.write_text(far)
+    out_file = tmp_path / ("cloud." + fmt)
+    n = _BLOCK + 3
+    code, out, err = run(capsys, "workspace", str(path), "--samples", str(n), "--seed", "5",
+                         "--out", str(out_file), "--format", fmt)
+    assert (code, out, err) == (0, "", "")
+    points = generate_cloud(parse_robot(far)[0], SampleSpec(n=n, seed=5)).points
+    assert all(cli._digit_text(points[start:start + _BLOCK], sep) is None
+               for start in range(0, n, _BLOCK))
+    lines = out_file.read_bytes().decode("ascii").splitlines()[header_lines:]
+    assert lines == [sep.join(["%.9f"] * 3) % tuple(p) for p in (points + 0.0).tolist()]
+
+
+def test_ply_comment_holds_a_non_ascii_robot_name_as_utf8(tmp_path, capsys):
+    path = tmp_path / "t.robot"
+    path.write_text(GOOD.replace('"T"', '"Ärm-Ω"'), encoding="utf-8")
+    out_file = tmp_path / "cloud.ply"
+    code, _, _ = run(capsys, "workspace", str(path), "--samples", "3", "--seed", "1",
+                     "--out", str(out_file), "--format", "ply")
+    assert code == 0
+    assert out_file.read_bytes().split(b"\n")[2] == b"comment robot=\xc3\x84rm-\xce\xa9 seed=1 n=3"
 
 
 def test_workspace_runs_are_byte_identical(tmp_path, capsys):

@@ -87,15 +87,16 @@ tables = st.tuples(st.integers(min_value=1, max_value=40), st.sampled_from([2, 3
 
 
 def reference_rows(table, sep):
-    return "".join(sep.join("%.9f" % (v + 0.0) for v in row) + "\n" for row in table.tolist())
+    return "".join(sep.join("%.9f" % (v + 0.0) for v in row) + "\n" for row in table.tolist()).encode()
 
 
 @settings(deadline=None)
 @given(tables, st.integers(min_value=1, max_value=7), st.sampled_from([",", " "]))
 def test_rows_text_matches_per_value_reference(table, block, sep):
     with mock.patch.object(cli, "_BLOCK", block):
-        assert cli._rows_text(table, sep) == reference_rows(table, sep)
-        assert cli._csv_lines("h", table) == "h\n" + reference_rows(table, ",")
+        assert cli._rows_text("", table, sep) == reference_rows(table, sep)
+        # the head is UTF-8, a non-ASCII robot name in a PLY comment included
+        assert cli._rows_text("h\u00e9\n", table, sep) == "h\u00e9\n".encode() + reference_rows(table, sep)
 
 
 # the digit path's edges: near-ties (k + 1/2)·1e-9 and their neighbours;
@@ -117,7 +118,7 @@ edge_tables = st.tuples(st.integers(min_value=1, max_value=40), st.integers(min_
 @given(edge_tables, st.integers(min_value=1, max_value=7), st.sampled_from([",", " "]))
 def test_digit_path_matches_per_value_reference_at_its_edges(table, block, sep):
     with mock.patch.object(cli, "_BLOCK", block):
-        assert cli._rows_text(table, sep) == reference_rows(table, sep)
+        assert cli._rows_text("x,y,z\n", table, sep) == b"x,y,z\n" + reference_rows(table, sep)
 
 
 # --- fk_batch against the reference and forward_kinematics ----------------------------------------

@@ -357,6 +357,15 @@ def test_voxel_rejects_grids_that_overflow():
     assert voxelize(unit, 1e-6).occupied_count == 2
 
 
+@pytest.mark.parametrize("resolution", [1e90, 5e102, 5.6e102, 6e102, 1e104])
+def test_a_cloud_no_box_can_hold_is_named_whatever_the_resolution(resolution):
+    # every index fits at these resolutions, but a box of at most 2**62 voxels
+    # needs r**3 > (2e109)**3 / 2**62, which overflows: the cloud is at fault
+    far = cloud_of([[1e109, 1e109, 1e109], [-1e109, -1e109, -1e109]])
+    with pytest.raises(ValueError, match="no voxel grid holds this cloud"):
+        summarize(far, resolution)
+
+
 @pytest.mark.parametrize("points", [[[math.nan, 0.0, 0.0], [1.0, 1.0, 1.0]],
                                     [[0.0, 0.0, 0.0], [math.nan, 1.0, 1.0]],
                                     [[math.inf, 0.0, 0.0]], [[0.0, -math.inf, 0.0]]])

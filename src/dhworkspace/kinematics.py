@@ -137,18 +137,28 @@ def forward_kinematics(model: RobotModel, config) -> np.ndarray:
     return fk_batch(model, _resolve_config(model, config)[None])[0]
 
 
-def fk_batch(model: RobotModel, configs: np.ndarray) -> np.ndarray:
+def fk_batch(model: RobotModel, configs: np.ndarray, *, pose: bool = True) -> np.ndarray:
     """Forward kinematics for a stack of configurations, shape (n, movable).
 
-    Returns an (n, 4, 4) array. Values are NOT limit-checked: this is the
-    hot path for workspace sampling, where configurations are within limits
-    by construction; forward_kinematics is the checked entry for one pose.
+    Returns an (n, 4, 4) array, or with pose=False only the (n, 3)
+    end-effector positions. Values are NOT limit-checked: this is the hot
+    path for workspace sampling, where configurations are within limits by
+    construction; forward_kinematics is the checked entry for one pose.
 
     A row is Rz(theta) @ C with C = Tz(d) @ Tx(a) @ Rx(alpha), and only
     theta (revolute) or d (prismatic) varies with the configuration. So the
     running product is kept as its rotation columns c0, c1, c2 and its
     position p, each (3, n), and every row updates them elementwise; a
     row's bits do not depend on the rows around it.
+
+    Terms that a row's own constants make exactly zero are skipped: a*x
+    when a == 0, d*c2 when d is a scalar 0, the rotation by alpha when
+    alpha == 0. With pose=False the last row moves only p, and needs no
+    cos or sin when its a == 0, since Rz leaves c2 as it is. A skipped term
+    is +-0, which changes no non-zero sum, and p starts at +0 and never
+    becomes -0; so for finite configurations the positions are the same
+    bits as without the skips, and the 4x4's rotation can differ only in
+    the sign of an exact zero.
     """
     Q = np.asarray(configs, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[1] != model.movable_count:
@@ -160,7 +170,8 @@ def fk_batch(model: RobotModel, configs: np.ndarray) -> np.ndarray:
     c0[0] = c1[1] = c2[2] = 1.0
     p = np.zeros((3, n))
     col = 0
-    for row in model.rows:
+    last = len(model.rows) - 1
+    for i, row in enumerate(model.rows):
         if row.fixed is None:
             q = Q[:, col]
             col += 1
@@ -170,12 +181,35 @@ def fk_batch(model: RobotModel, configs: np.ndarray) -> np.ndarray:
             theta, d = row.theta_offset + q, row.d
         else:
             theta, d = row.theta_offset, row.d + q
-        ct, st = np.cos(theta), np.sin(theta)
-        ca, sa = math.cos(row.alpha), math.sin(row.alpha)
-        x = c0 * ct + c1 * st
-        y = c1 * ct - c0 * st
-        p += row.a * x + d * c2
-        c0, c1, c2 = x, y * ca + c2 * sa, c2 * ca - y * sa
+        a_term = row.a != 0
+        d_term = np.ndim(d) or d != 0  # a prismatic row's d is an array
+        end = i == last and not pose  # only p is read after this row
+        if a_term or not end:
+            ct, st = np.cos(theta), np.sin(theta)
+            x = c0 * ct
+            x += c1 * st
+        if a_term:
+            step = x * row.a
+            if d_term:
+                step += d * c2
+            p += step
+        elif d_term:
+            p += d * c2
+        if end:
+            break
+        y = c1 * ct
+        y -= c0 * st
+        if row.alpha == 0:
+            c0, c1 = x, y
+        else:
+            ca, sa = math.cos(row.alpha), math.sin(row.alpha)
+            c1_next = y * ca
+            c1_next += c2 * sa
+            c2_next = c2 * ca
+            c2_next -= y * sa
+            c0, c1, c2 = x, c1_next, c2_next
+    if not pose:
+        return p.T
     T = np.zeros((n, 4, 4))
     T[:, 3, 3] = 1.0
     columns = T.transpose(2, 1, 0)  # columns[c, r, k] == T[k, r, c]

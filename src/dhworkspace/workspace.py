@@ -153,7 +153,7 @@ def generate_cloud(model: RobotModel, spec: SampleSpec) -> PointCloud:
                 if failures:  # another worker failed: the call is over
                     return
                 stop = min(start + _BLOCK, n)
-                points[start:stop] = fk_batch(model, joint_samples(model, spec, start, stop))[:, :3, 3]
+                points[start:stop] = fk_batch(model, joint_samples(model, spec, start, stop), pose=False)
         except BaseException as exc:  # raised again by the caller after the joins
             failures.append(exc)
 

@@ -1,8 +1,9 @@
 """Property tests of the packed voxel keys and the summary on generated
 clouds, of the CLI's block formatter on generated tables, of the FK
-kernel against the pure-Python reference on generated chains, and of
-sampling split at any row, and the cloud cut into blocks of any size, on
-generated chains."""
+kernel against the pure-Python reference and of its positions-only pass
+against the 4x4's position column on generated chains, and of sampling
+split at any row, and the cloud cut into blocks of any size, on generated
+chains."""
 
 import math
 import os
@@ -31,7 +32,7 @@ from dhworkspace import (
 from fk_reference import ref_fk
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
@@ -125,15 +126,18 @@ def test_digit_path_matches_per_value_reference_at_its_edges(table, block, sep):
 
 lengths = st.floats(min_value=-2.0, max_value=2.0)
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
+# fk_batch skips the terms that a == 0, d == 0 or alpha == 0 make exactly zero
+zeros = st.sampled_from([0.0, -0.0])
 
 
 @st.composite
 def dh_rows(draw):
     kind = draw(st.sampled_from([REVOLUTE, PRISMATIC]))
     span = angles if kind == REVOLUTE else lengths
-    lo, hi = sorted((draw(span), draw(span)))
-    return DHRow(kind=kind, a=draw(lengths), alpha=draw(angles),
-                 d=draw(lengths), theta_offset=draw(angles), limits=(lo, hi),
+    # -0.0 sorts first, or st.floats(min_value=0.0, max_value=-0.0) refuses the pair
+    lo, hi = sorted((draw(span), draw(span)), key=lambda v: (v, math.copysign(1.0, v)))
+    return DHRow(kind=kind, a=draw(zeros | lengths), alpha=draw(zeros | angles),
+                 d=draw(zeros | lengths), theta_offset=draw(angles), limits=(lo, hi),
                  fixed=draw(st.none() | st.floats(min_value=lo, max_value=hi)))
 
 
@@ -152,6 +156,32 @@ def test_fk_batch_matches_forward_kinematics(model, data):
         nt.assert_allclose(T, ref_fk(model, q), rtol=0, atol=1e-12)
         # the one-pose entry runs the same kernel: the same bits
         assert np.array_equal(forward_kinematics(model, q), T)
+
+
+def with_configs(model):
+    """The model and 1-4 finite configurations, drawn regardless of its limits."""
+    shape = st.tuples(st.integers(min_value=1, max_value=4), st.just(model.movable_count))
+    return st.tuples(st.just(model), arrays(np.float64, shape, elements=zeros | angles))
+
+
+def chain(*rows):
+    return RobotModel(name="example", rows=tuple(DHRow(kind, a, alpha, d) for kind, a, alpha, d in rows))
+
+
+@settings(deadline=None)
+@given(chains.flatmap(with_configs))
+# the last row's a == 0, so that row takes no cos or sin: smokie's shape
+@example((chain((REVOLUTE, 0.0, math.pi / 2, 0.0), (REVOLUTE, 0.43, 0.0, 0.0),
+                (REVOLUTE, 0.0, -math.pi / 2, 0.145), (REVOLUTE, 0.0, 0.0, 0.115)),
+          np.array([[0.3, -1.2, 0.0, 2.0], [0.0, -0.0, math.pi / 2, -math.pi]])))
+# a prismatic last row: its d is an array, never skipped
+@example((chain((REVOLUTE, 0.2, 0.0, 0.0), (REVOLUTE, 0.0, math.pi / 2, 0.0), (PRISMATIC, 0.0, 0.0, 0.0)),
+          np.array([[0.7, 0.0, 0.25], [-2.0, 1.0, -0.0]])))
+def test_positions_only_pass_gives_the_pose_position_bytes(case):
+    model, Q = case
+    positions = fk_batch(model, Q, pose=False)
+    assert positions.shape == (len(Q), 3)
+    assert positions.tobytes() == fk_batch(model, Q)[:, :3, 3].tobytes()
 
 
 # --- sampling at a split point ----------------------------------------------------------------

@@ -224,10 +224,10 @@ def test_a_failing_block_is_raised_after_every_thread_ends():
     spec = SampleSpec(n=3 * B + 7, seed=1)
     doomed = joint_samples(wam, spec, B, B + 1)[0]  # block 1 starts here; worker 1 runs it
 
-    def fk_batch_failing_at_block_1(model, Q):
+    def fk_batch_failing_at_block_1(model, Q, **kwargs):
         if np.array_equal(Q[0], doomed):
             raise MemoryError("block 1")
-        return fk_batch(model, Q)
+        return fk_batch(model, Q, **kwargs)
 
     before = threading.active_count()
     with cpus(2), mock.patch.object(workspace, "fk_batch", fk_batch_failing_at_block_1):

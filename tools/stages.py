@@ -1,0 +1,147 @@
+"""Stage timings of dhworkspace at fixed sizes, printed as one JSON record.
+
+Run from anywhere, with no options:
+
+    python3 tools/stages.py > stages.json
+
+It times the checkout it lives in (its `src/`), whatever is installed.
+
+Whole process: the `volume` and `workspace` csv commands of the benchmark's
+two workloads, RUNS times each, alternating. Wall time is taken from spawn
+to reap, and the CLI's own peak RSS from `os.wait4`. A child inherits its
+parent's RSS high-water mark through fork and exec, so these run first,
+before this process imports numpy.
+
+In process: the best of REPEATS single calls of each stage, at each of
+SIZES. `fk_batch` is timed over the blocks of `workspace._BLOCK` rows that
+`generate_cloud` hands it, on one thread, once returning the 4x4 poses and
+once the positions only; `generate_cloud` runs its blocks on every CPU in
+the affinity mask. `voxelize` and `summarize` get a new cloud each time, so
+they compute its cached bounds, as the CLI does.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SEED = 7
+SIZES = (("wam", 20_000), ("wam", 200_000), ("smokie", 1_000_000))
+REPEATS = 7
+RUNS = 7
+RESOLUTION = 0.02
+
+
+def _spawn(argv: list[str], env: dict) -> tuple[float, float]:
+    """(wall seconds, peak RSS in MB) of one CLI run; stdout goes to /dev/null."""
+    actions = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    start = time.perf_counter()
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "dhworkspace.cli", *argv], env,
+                         file_actions=actions)
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.perf_counter() - start
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise RuntimeError(f"dhworkspace {' '.join(argv)} exited with status {status}")
+    return wall, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
+
+
+def whole_process() -> dict:
+    if "numpy" in sys.modules:
+        raise RuntimeError("numpy is imported: the CLI children would inherit this process's peak RSS")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    with tempfile.TemporaryDirectory() as scratch:
+        commands = {
+            "volume_smokie_1000000": ["volume", "builtin:smokie", "--samples", "1000000",
+                                      "--seed", str(SEED), "--voxel", str(RESOLUTION)],
+            "workspace_csv_wam_200000": ["workspace", "builtin:wam", "--samples", "200000",
+                                         "--seed", str(SEED), "--format", "csv",
+                                         "--out", os.path.join(scratch, "cloud.csv")],
+        }
+        shown = {name: " ".join(argv).replace(scratch, "<tmp>") for name, argv in commands.items()}
+        runs = {name: [] for name in commands}
+        for _ in range(RUNS):
+            for name, argv in commands.items():
+                runs[name].append(_spawn(argv, env))
+    out = {}
+    for name, pairs in runs.items():
+        walls, rss = [w for w, _ in pairs], [r for _, r in pairs]
+        out[name] = {"command": "dhworkspace " + shown[name], "runs": len(pairs),
+                     "median_wall_s": statistics.median(walls), "min_wall_s": min(walls),
+                     "median_peak_rss_mb": statistics.median(rss),
+                     "wall_s": walls, "peak_rss_mb": rss}
+    return out
+
+
+def _best(fn, setup=lambda: None) -> float:
+    """Fastest of REPEATS calls of fn(setup()), setup untimed."""
+    times = []
+    for _ in range(REPEATS):
+        arg = setup()
+        start = time.perf_counter()
+        fn(arg)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def in_process() -> dict:
+    sys.path.insert(0, str(SRC))
+    from dhworkspace import (PointCloud, SampleSpec, builtin_fixture, cli, fk_batch, generate_cloud,
+                             joint_samples, summarize, voxelize, workspace)
+
+    out = {}
+    for robot, n in SIZES:
+        model, spec = builtin_fixture(robot), SampleSpec(n=n, seed=SEED)
+        Q = joint_samples(model, spec)
+        blocks = [Q[start:start + workspace._BLOCK] for start in range(0, n, workspace._BLOCK)]
+        points = generate_cloud(model, spec).points
+
+        def cloud():
+            return PointCloud(points=points, robot=model.name, seed=SEED)
+
+        def kernel(pose):
+            for block in blocks:  # each result is dropped, as generate_cloud copies it out
+                fk_batch(model, block, pose=pose)
+
+        out[f"{robot}_{n}"] = {
+            "joint_samples": _best(lambda _: joint_samples(model, spec)),
+            "fk_batch_pose": _best(lambda _: kernel(True)),
+            "fk_batch_positions": _best(lambda _: kernel(False)),
+            "generate_cloud": _best(lambda _: generate_cloud(model, spec)),
+            "voxelize": _best(lambda c: voxelize(c, RESOLUTION), cloud),
+            "summarize": _best(lambda c: summarize(c, RESOLUTION), cloud),
+            "csv_text": _best(lambda _: cli._rows_text("x,y,z\n", points, ",")),
+        }
+    return out
+
+
+def main() -> None:
+    walls = whole_process()
+    stages = in_process()
+    import numpy
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count()
+    record = {
+        "host": {"cpus": cpus, "machine": platform.machine(), "python": platform.python_version(),
+                 "numpy": numpy.__version__},
+        "seed": SEED,
+        "voxel_resolution": RESOLUTION,
+        "in_process_best_of": REPEATS,
+        "in_process_s": stages,
+        "whole_process": walls,
+    }
+    json.dump(record, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -4,8 +4,9 @@ All lengths are meters, all angles radians. A chain is an ordered list of
 links, each described by the four D-H parameters (a, alpha, d, theta); the
 joint variable adds to theta for revolute joints and to d for prismatic ones.
 Homogeneous transforms are plain 4x4 float64 numpy arrays. fk_batch evaluates
-the whole stack it is given; a caller that wants a bounded working set cuts
-the stack into blocks, as workspace.generate_cloud does.
+the whole stack it is given in one scratch array allocated per call, updating
+its rows in place; a caller that wants a bounded working set cuts the stack
+into blocks, as workspace.generate_cloud does.
 """
 
 from __future__ import annotations
@@ -141,15 +142,21 @@ def fk_batch(model: RobotModel, configs: np.ndarray, *, pose: bool = True) -> np
     """Forward kinematics for a stack of configurations, shape (n, movable).
 
     Returns an (n, 4, 4) array, or with pose=False only the (n, 3)
-    end-effector positions. Values are NOT limit-checked: this is the hot
-    path for workspace sampling, where configurations are within limits by
+    end-effector positions, a view of a (3, n) array that holds them and
+    nothing else. Values are NOT limit-checked: this is the hot path for
+    workspace sampling, where configurations are within limits by
     construction; forward_kinematics is the checked entry for one pose.
 
     A row is Rz(theta) @ C with C = Tz(d) @ Tx(a) @ Rx(alpha), and only
     theta (revolute) or d (prismatic) varies with the configuration. So the
     running product is kept as its rotation columns c0, c1, c2 and its
     position p, each (3, n), and every row updates them elementwise; a
-    row's bits do not depend on the rows around it.
+    row's bits do not depend on the rows around it. Each call allocates p
+    and one scratch array: six (3, n) slabs, which hold c0, c1, c2 and the
+    row's x, y and temporary products and trade roles from row to row,
+    and a (3, n) slab for the row's varying theta (or d), cos and sin.
+    Every product is written with out=, so a row allocates nothing the
+    size of the stack.
 
     Terms that a row's own constants make exactly zero are skipped: a*x
     when a == 0, d*c2 when d is a scalar 0, the rotation by alpha when
@@ -166,48 +173,51 @@ def fk_batch(model: RobotModel, configs: np.ndarray, *, pose: bool = True) -> np
             f"expected shape (n, {model.movable_count}), got {Q.shape}"
         )
     n = Q.shape[0]
-    c0, c1, c2 = np.zeros((3, 3, n))
-    c0[0] = c1[1] = c2[2] = 1.0
+    work = np.empty((7, 3, n))
+    work[:3] = np.eye(3)[:, :, None]  # c0, c1, c2 start as the identity's columns
+    c0, c1, c2, x, y, t = work[:6]
+    varying, cosine, sine = work[6]
     p = np.zeros((3, n))
     col = 0
     last = len(model.rows) - 1
     for i, row in enumerate(model.rows):
+        revolute = row.kind == REVOLUTE
+        base = row.theta_offset if revolute else row.d
         if row.fixed is None:
-            q = Q[:, col]
+            value = np.add(base, Q[:, col], out=varying)
             col += 1
         else:
-            q = row.fixed
-        if row.kind == REVOLUTE:
-            theta, d = row.theta_offset + q, row.d
-        else:
-            theta, d = row.theta_offset, row.d + q
+            value = base + row.fixed
+        theta, d = (value, row.d) if revolute else (row.theta_offset, value)
         a_term = row.a != 0
         d_term = np.ndim(d) or d != 0  # a prismatic row's d is an array
         end = i == last and not pose  # only p is read after this row
         if a_term or not end:
-            ct, st = np.cos(theta), np.sin(theta)
-            x = c0 * ct
-            x += c1 * st
+            vector = np.ndim(theta)
+            ct = np.cos(theta, out=cosine if vector else None)
+            st = np.sin(theta, out=sine if vector else None)
+            np.multiply(c0, ct, out=x)
+            x += np.multiply(c1, st, out=y)  # y is free until it is computed below
         if a_term:
-            step = x * row.a
+            step = np.multiply(x, row.a, out=t)
             if d_term:
-                step += d * c2
+                step += np.multiply(c2, d, out=y)
             p += step
         elif d_term:
-            p += d * c2
+            p += np.multiply(c2, d, out=t)
         if end:
             break
-        y = c1 * ct
-        y -= c0 * st
+        np.multiply(c1, ct, out=y)
+        y -= np.multiply(c0, st, out=t)
         if row.alpha == 0:
-            c0, c1 = x, y
-        else:
+            c0, c1, x, y = x, y, c0, c1
+        else:  # the new c1 and c2 go to the slabs of the old c0 and c1
             ca, sa = math.cos(row.alpha), math.sin(row.alpha)
-            c1_next = y * ca
-            c1_next += c2 * sa
-            c2_next = c2 * ca
-            c2_next -= y * sa
-            c0, c1, c2 = x, c1_next, c2_next
+            np.multiply(y, ca, out=c0)
+            c0 += np.multiply(c2, sa, out=t)
+            np.multiply(c2, ca, out=c1)
+            c1 -= np.multiply(y, sa, out=t)
+            c0, c1, c2, x = x, c0, c1, c2
     if not pose:
         return p.T
     T = np.zeros((n, 4, 4))

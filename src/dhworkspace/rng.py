@@ -42,16 +42,30 @@ class SplitMix64:
 def bulk_unit(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Outputs offset+1 .. offset+count of SplitMix64(seed).next_unit(),
     computed vectorized. Bit-identical to the scalar path.
+
+    The seed must lie in 0 .. 2**64 - 1 and the offset be >= 0: the stream
+    is defined by the 64-bit state, so any other value would alias another
+    seed's stream or a place before this one's start. The mixing runs in
+    place on one uint64 array, with the float64 result, viewed as uint64,
+    as the shift temporary; one converting multiply then writes the draws.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    base = np.uint64((seed + offset * GOLDEN) & MASK64)
+    if offset < 0:
+        raise ValueError(f"offset must be >= 0, got {offset}")
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must be in 0 .. 2**64 - 1, got {seed}")
     if count > np.iinfo(np.intp).max // 8:  # more bytes than an array can index
         raise MemoryError(f"cannot allocate {count} draws")
-    with np.errstate(over="ignore"):
-        k = np.arange(1, count + 1, dtype=np.uint64)
-        z = base + k * np.uint64(GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-        return (z >> np.uint64(11)).astype(np.float64) * _UNIT
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN)
+    z += np.uint64((seed + offset * GOLDEN) & MASK64)
+    out = np.empty(count)
+    shifted = out.view(np.uint64)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    z >>= np.uint64(11)
+    return np.multiply(z, _UNIT, out=out)

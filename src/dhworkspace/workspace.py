@@ -37,7 +37,7 @@ class SampleSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"sample count must be >= 1, got {self.n}")
-        if not 0 <= self.seed <= MASK64:  # bulk_unit would alias it to seed & MASK64
+        if not 0 <= self.seed <= MASK64:  # the stream's state is 64 bits; bulk_unit refuses others
             raise ValueError(f"seed must be in 0 .. 2**64 - 1, got {self.seed}")
 
 
@@ -105,7 +105,8 @@ def joint_samples(model: RobotModel, spec: SampleSpec, start: int = 0,
     Column j of row k is min + (max - min) * u for movable row j, with u
     the next draw of SplitMix64(spec.seed) in row-major order, so q lands
     in [min, max) except in the degenerate min == max case. Any row range
-    draws the same bits as the whole matrix's slice.
+    draws the same bits as the whole matrix's slice; a range outside
+    0 <= start <= stop <= spec.n raises ValueError.
     """
     movable = model.movable_rows
     m = len(movable)
@@ -113,6 +114,8 @@ def joint_samples(model: RobotModel, spec: SampleSpec, start: int = 0,
         raise ValueError(f"model {model.name!r} has no movable joints to sample")
     if stop is None:
         stop = spec.n
+    if not 0 <= start <= stop <= spec.n:
+        raise ValueError(f"rows {start}..{stop} are not a range of 0..{spec.n}")
     lo, hi = np.array([row.limits for row in movable]).T
     Q = bulk_unit(spec.seed, (stop - start) * m, start * m).reshape(stop - start, m)
     Q *= hi - lo

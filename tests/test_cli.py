@@ -362,7 +362,7 @@ def test_bad_flag_value_exits_1(capsys):
     assert run(capsys, "workspace", "builtin:wam", "--samples", "0",
                "--out", "x.csv")[0] == 1
     assert run(capsys, "volume", "builtin:wam", "--voxel", "-1")[0] == 1
-    # bulk_unit reads the seed modulo 2**64: a larger one would alias a smaller
+    # the stream's state is 64 bits: a larger seed could only alias a smaller
     for seed in ("-1", str(2 ** 64)):
         code, out, err = run(capsys, "volume", "builtin:wam", "--seed", seed)
         assert (code, out) == (1, "")

@@ -2,6 +2,7 @@
 against the pure-Python reference in fk_reference.py."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as nt
@@ -275,6 +276,33 @@ def test_fk_batch_matches_scalar_path_across_block_boundaries():
         batch = fk_batch(m, Q[:n])
         assert batch.shape == (n, 4, 4)
         assert np.array_equal(batch, full[:n])
+
+
+@pytest.mark.parametrize("name", ["smokie", "wam", "wam-code-variant"])
+def test_fk_batch_memory_per_block(name):
+    # one block of generate_cloud; memory is counted in units of the 3*n
+    # floats of the positions
+    model = builtin_fixture(name)
+    lims = np.array([r.limits for r in model.movable_rows])
+    Q = np.random.default_rng(23).uniform(lims[:, 0], lims[:, 1], size=(BLOCK, len(lims)))
+    unit = 3 * BLOCK * 8
+    positions = fk_batch(model, Q, pose=False)
+    # the positions own their floats: no view keeps the kernel's scratch alive
+    assert positions.base is not None and positions.base.size == 3 * BLOCK
+    peaks = []
+    for pose in (False, True):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()  # in case tracing was already on
+            held = tracemalloc.get_traced_memory()[0]
+            fk_batch(model, Q, pose=pose)
+            peaks.append((tracemalloc.get_traced_memory()[1] - held) / unit)
+        finally:
+            tracemalloc.stop()
+    # one scratch array and the positions, not a temporary per product;
+    # with pose=True the (n, 4, 4) result adds 16/3 units
+    assert peaks[0] < 11
+    assert peaks[1] <= 13.4
 
 
 # --- reach_bound ------------------------------------------------------------

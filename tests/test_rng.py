@@ -101,3 +101,15 @@ def test_bulk_unit_degenerate_counts():
     assert bulk_unit(1, 0).shape == (0,)
     with pytest.raises(ValueError):
         bulk_unit(1, -1)
+
+
+def test_bulk_unit_refuses_what_it_would_alias():
+    # seeds outside 64 bits would alias another seed's stream, and a
+    # negative offset would read draws from before the stream's start
+    for seed in (-1, MASK64 + 1, MASK64 + 43):
+        with pytest.raises(ValueError, match="seed"):
+            bulk_unit(seed, 1)
+    with pytest.raises(ValueError, match="offset"):
+        bulk_unit(42, 3, offset=-1)
+    rng = SplitMix64(MASK64)
+    assert bulk_unit(MASK64, 1)[0] == rng.next_unit()

@@ -78,7 +78,7 @@ def test_spec_rejects_nonpositive_n():
 
 
 def test_spec_rejects_seeds_outside_64_bits():
-    # bulk_unit reads a seed modulo 2**64, so 2**64 + 42 would draw seed 42's
+    # the stream's state is 64 bits, so 2**64 + 42 could only name seed 42's
     # stream while the cloud records the larger number
     for seed in (-1, 2 ** 64, 2 ** 64 + 42):
         with pytest.raises(ValueError, match="seed"):
@@ -159,6 +159,16 @@ def test_joint_samples_row_range_is_a_slice_of_the_matrix():
         part = joint_samples(wam, spec, start, stop)
         assert part.shape == (stop - start, 6)
         assert part.tobytes() == whole[start:stop].tobytes()
+
+
+def test_joint_samples_refuses_rows_outside_the_matrix():
+    wam = builtin_fixture("wam")
+    spec = SampleSpec(n=10, seed=9)
+    # past n, before the stream's start, and inverted
+    for start, stop in ((8, 15), (-3, 2), (5, 3), (11, None), (0, 11)):
+        with pytest.raises(ValueError, match="not a range of 0..10"):
+            joint_samples(wam, spec, start, stop)
+    assert joint_samples(wam, spec, 10).shape == (0, 6)
 
 
 def test_state_for_sample_reconstructs_mid_stream():

@@ -8,9 +8,11 @@ It times the checkout it lives in (its `src/`), whatever is installed.
 
 Whole process: the `volume` and `workspace` csv commands of the benchmark's
 two workloads, RUNS times each, alternating. Wall time is taken from spawn
-to reap, and the CLI's own peak RSS from `os.wait4`. A child inherits its
-parent's RSS high-water mark through fork and exec, so these run first,
-before this process imports numpy.
+to reap, and the CLI's own peak RSS and minor page faults from `os.wait4`.
+A child inherits its parent's RSS high-water mark through fork and exec, so
+these run first, before this process imports numpy. The faults count the
+pages the CLI touched for the first time, heap pages that the allocator gave
+back and took again included: a cost the warm in-process calls below hide.
 
 In process: the best of REPEATS single calls of each stage, at each of
 SIZES. `fk_batch` is timed over the blocks of `workspace._BLOCK` rows that
@@ -39,8 +41,9 @@ RUNS = 7
 RESOLUTION = 0.02
 
 
-def _spawn(argv: list[str], env: dict) -> tuple[float, float]:
-    """(wall seconds, peak RSS in MB) of one CLI run; stdout goes to /dev/null."""
+def _spawn(argv: list[str], env: dict) -> tuple[float, float, int]:
+    """(wall seconds, peak RSS in MB, minor page faults) of one CLI run;
+    stdout goes to /dev/null."""
     actions = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
     start = time.perf_counter()
     pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "dhworkspace.cli", *argv], env,
@@ -49,7 +52,7 @@ def _spawn(argv: list[str], env: dict) -> tuple[float, float]:
     wall = time.perf_counter() - start
     if os.waitstatus_to_exitcode(status) != 0:
         raise RuntimeError(f"dhworkspace {' '.join(argv)} exited with status {status}")
-    return wall, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
+    return wall, usage.ru_maxrss / 1024.0, usage.ru_minflt  # ru_maxrss is in KiB on Linux
 
 
 def whole_process() -> dict:
@@ -70,12 +73,13 @@ def whole_process() -> dict:
             for name, argv in commands.items():
                 runs[name].append(_spawn(argv, env))
     out = {}
-    for name, pairs in runs.items():
-        walls, rss = [w for w, _ in pairs], [r for _, r in pairs]
-        out[name] = {"command": "dhworkspace " + shown[name], "runs": len(pairs),
+    for name, triples in runs.items():
+        walls, rss, faults = (list(column) for column in zip(*triples))
+        out[name] = {"command": "dhworkspace " + shown[name], "runs": len(triples),
                      "median_wall_s": statistics.median(walls), "min_wall_s": min(walls),
                      "median_peak_rss_mb": statistics.median(rss),
-                     "wall_s": walls, "peak_rss_mb": rss}
+                     "median_minor_faults": statistics.median(faults),
+                     "wall_s": walls, "peak_rss_mb": rss, "minor_faults": faults}
     return out
 
 

@@ -52,25 +52,23 @@ class _Parser(argparse.ArgumentParser):
         raise _Failure(EXIT_USAGE, message)
 
 
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _flag_type(convert, accept, expected: str):
+    """An argparse type: convert(raw) if that succeeds and accept takes it;
+    otherwise an error that says what the flag expects."""
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}")
+    return parse
 
 
-def _seed(raw: str) -> int:
-    value = int(raw)
-    if not 0 <= value <= MASK64:  # as SampleSpec requires
-        raise argparse.ArgumentTypeError("must be in 0 .. 2**64 - 1")
-    return value
-
-
-def _positive_float(raw: str) -> float:
-    value = float(raw)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError("must be a finite number > 0")
-    return value
+_positive_int = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _flag_type(int, lambda v: 0 <= v <= MASK64, "an integer in 0 .. 2**64 - 1")  # as SampleSpec requires
+_positive_float = _flag_type(float, lambda v: v > 0 and math.isfinite(v), "a finite number > 0")
 
 
 def _read_source(source_arg: str):
@@ -87,6 +85,22 @@ def _read_source(source_arg: str):
         raise _Failure(EXIT_PARSE, f"{source_arg}: not valid UTF-8 text") from None
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot read {source_arg}: {exc.strerror or exc}") from None
+
+
+def _print(text: str) -> None:
+    """Write text to stdout and flush it; a failed write is exit 5. What
+    stays buffered then goes to os.devnull, so the interpreter's own flush
+    at exit prints nothing more."""
+    if sys.stdout is None:  # the process started with no stdout
+        raise _Failure(EXIT_IO, "cannot write stdout: it is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _Failure(EXIT_IO, f"cannot write stdout: {exc.strerror or exc}") from None
 
 
 def _report(diags, label):
@@ -246,7 +260,7 @@ def _cmd_fk(args) -> int:
         T = forward_kinematics(model, q)
     except KinematicsError as exc:
         raise _Failure(EXIT_FK_DOMAIN, str(exc)) from None
-    sys.stdout.write((_rows_text("", T, " ") + _rows_text("", T[None, :3, 3], " ")).decode())
+    _print((_rows_text("", T, " ") + _rows_text("", T[None, :3, 3], " ")).decode())
     return EXIT_OK
 
 
@@ -276,7 +290,7 @@ def _cmd_volume(args) -> int:
         text = json.dumps(summarize(cloud, args.voxel), allow_nan=False)
     except ValueError as exc:
         raise _Failure(EXIT_USAGE, str(exc)) from None
-    print(text)
+    _print(text + "\n")
     return EXIT_OK
 
 

@@ -67,34 +67,16 @@ class PointCloud:
         return tuple(float(c.min()) for c in columns), tuple(float(c.max()) for c in columns)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class VoxelGrid:
-    """Occupancy set on a regular grid anchored at the origin.
+    """How many voxels of the origin-anchored grid a cloud occupies.
 
     A point p belongs to voxel floor(p / resolution), componentwise, so
-    grids from different runs at equal resolution are directly comparable.
-    Voxel (i, j, k) is stored as the packed key
-    ((i - lo[0]) * span[1] + (j - lo[1])) * span[2] + (k - lo[2]), where lo
-    is the box's minimum corner and span its size in voxels per axis.
+    counts at equal resolution count cells of one grid, whatever the cloud.
     """
 
     resolution: float
-    keys: np.ndarray  # sorted distinct packed int64 keys
-    lo: tuple  # (i, j, k) of the minimum corner of the occupied box
-    span: tuple  # voxels per axis of that box
-
-    @functools.cached_property
-    def occupied(self) -> frozenset:
-        """The occupied (i, j, k) integer triples."""
-        ij, k = np.divmod(self.keys, self.span[2])
-        i, j = np.divmod(ij, self.span[1])
-        lo = self.lo
-        return frozenset(zip((i + lo[0]).tolist(), (j + lo[1]).tolist(),
-                             (k + lo[2]).tolist()))
-
-    @property
-    def occupied_count(self) -> int:
-        return self.keys.size
+    occupied_count: int
 
 
 def joint_samples(model: RobotModel, spec: SampleSpec, start: int = 0,
@@ -178,7 +160,7 @@ def generate_cloud(model: RobotModel, spec: SampleSpec) -> PointCloud:
 
 
 def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
-    """Quantize the cloud onto the origin-anchored grid.
+    """Count the voxels of the origin-anchored grid that the cloud occupies.
 
     Raises ValueError when the resolution is not a positive finite number,
     when a point is not finite, when no resolution whose cube summarize
@@ -213,6 +195,7 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
     if span[0] * span[1] * span[2] > _INDEX_LIMIT:
         raise ValueError(f"voxel resolution {resolution} is too fine for this cloud: "
                          "its box holds more than 2**62 voxels")
+    # voxel (i, j, k) packs to ((i - lo0) * span1 + (j - lo1)) * span2 + (k - lo2)
     keys = np.zeros(points.shape[0], dtype=np.int64)
     index = np.empty_like(keys)
     for column, axis_lo, axis_span in zip(points.T, lo, span):
@@ -221,8 +204,7 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
         keys *= axis_span
         keys += index
     keys.sort()
-    distinct = np.concatenate(([True], keys[1:] != keys[:-1]))
-    return VoxelGrid(resolution, keys[distinct], tuple(lo), span)
+    return VoxelGrid(resolution, 1 + int(np.count_nonzero(keys[1:] != keys[:-1])))
 
 
 def project(cloud: PointCloud, plane: str) -> np.ndarray:

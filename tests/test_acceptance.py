@@ -149,8 +149,9 @@ def test_smokie_large_sample_reach():
 
 def test_cli_outputs_are_deterministic(tmp_path, capsys):
     """Re-running `workspace` with equal flags produces byte-identical CSV
-    and PLY files, and the voxel occupancy of a 5000-sample prefix is a
-    subset of the 20000-sample run at 0.02 m resolution. Under 5 s."""
+    and PLY files, and a 5000-sample cloud is the bitwise prefix of the
+    20000-sample one and occupies no more voxels at 0.02 m resolution.
+    Under 5 s."""
     t0 = time.perf_counter()
     paths = {key: tmp_path / f"{key}.out" for key in "abcd"}
     for key in "ab":
@@ -165,9 +166,10 @@ def test_cli_outputs_are_deterministic(tmp_path, capsys):
     assert paths["c"].read_bytes() == paths["d"].read_bytes()
 
     model = builtin_fixture("wam")
-    small = voxelize(generate_cloud(model, SampleSpec(n=5000, seed=42)), 0.02)
-    large = voxelize(generate_cloud(model, SampleSpec(n=20000, seed=42)), 0.02)
-    assert small.occupied <= large.occupied
+    small = generate_cloud(model, SampleSpec(n=5000, seed=42))
+    large = generate_cloud(model, SampleSpec(n=20000, seed=42))
+    assert np.array_equal(small.points, large.points[:5000])
+    assert voxelize(small, 0.02).occupied_count <= voxelize(large, 0.02).occupied_count
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
 

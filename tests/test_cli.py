@@ -330,6 +330,32 @@ def test_unwritable_output_exits_5(tmp_path, capsys):
     assert list(target.iterdir()) == []
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_unwritable_stdout_exits_5(unbuffered):
+    # a buffered stdout fails at the flush, an unbuffered one at the write:
+    # either way one error line, and nothing from the interpreter's exit
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_PARENT), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv in (["volume", "builtin:wam", "--samples", "100"], ["fk", "builtin:wam", "--q", "0,0,0,0,0,0"]):
+        with open("/dev/full", "w") as full:
+            child = subprocess.run([sys.executable, "-m", "dhworkspace.cli", *argv], env=env,
+                                   stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+        assert child.returncode == 5
+        assert child.stderr.startswith("error: cannot write stdout")
+        assert len(child.stderr.splitlines()) == 1
+
+
+def test_closed_stdout_exits_5(capsys, monkeypatch):
+    # Python sets sys.stdout to None when the process starts with fd 1 closed
+    monkeypatch.setattr(sys, "stdout", None)
+    for argv in (["volume", "builtin:wam", "--samples", "100"], ["fk", "builtin:wam", "--q", "0,0,0,0,0,0"]):
+        assert main(argv) == 5
+        assert capsys.readouterr().err == "error: cannot write stdout: it is closed\n"
+
+
 @pytest.mark.parametrize("name, exc, code", [
     ("fdopen", MemoryError, 1),  # as when text.encode cannot get its copy
     ("replace", KeyboardInterrupt, None),
@@ -369,21 +395,26 @@ def test_bad_flag_value_exits_1(capsys):
         assert len(err.splitlines()) == 1 and "--seed" in err
 
 
-@pytest.mark.parametrize("voxel, message", [
+@pytest.mark.parametrize("value, message", [
     ("1e-20", "too fine"),  # voxel indices beyond int64 packing
     ("1e300", "overflows"),  # resolution ** 3 overflows
     ("5.6e102", "not finite"),  # the cube fits, eight voxels of it do not
     ("inf", "finite number > 0"),
     ("nan", "finite number > 0"),
+    # a value that is not a number says what the flag expects
+    ("abc", "--voxel: expected a finite number > 0, got 'abc'"),
+    ("--samples=1e3", "--samples: expected an integer >= 1, got '1e3'"),
+    ("--seed=abc", "--seed: expected an integer in 0 .. 2**64 - 1, got 'abc'"),
 ])
-def test_volume_rejects_unusable_voxel_sizes(capsys, voxel, message):
-    code, out, err = run(capsys, "volume", "builtin:wam", "--samples", "100",
-                         "--voxel", voxel)
+def test_volume_rejects_unusable_voxel_sizes(capsys, value, message):
+    option = value if value.startswith("--") else "--voxel=" + value
+    code, out, err = run(capsys, "volume", "builtin:wam", "--samples", "100", option)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and message in err
-    # a bad resolution is named, by value or by its flag
-    assert str(float(voxel)) in err or "--voxel" in err
+    # a bad value is named, by value or by its flag
+    flag, _, value = option.partition("=")
+    assert flag in err or str(float(value)) in err
 
 
 def test_volume_of_a_cloud_no_voxel_grid_holds_is_one_line(tmp_path, capsys):

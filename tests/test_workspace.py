@@ -16,6 +16,7 @@ from dhworkspace import (
     PointCloud,
     RobotModel,
     SampleSpec,
+    VoxelGrid,
     builtin_fixture,
     fk_batch,
     generate_cloud,
@@ -303,30 +304,47 @@ def test_point_cloud_shape_is_checked():
 
 def test_cloud_keeps_its_own_copy_of_the_points():
     # mutating the caller's array after summarize changes neither a second
-    # summarize nor voxelize: the cloud's cached bounds stay true
+    # summarize nor voxelize: the cloud's cached bounds stay true, and its
+    # second point keeps a voxel of its own
     source = np.zeros((2, 3))
     source[1] = 1.0
     cloud = PointCloud(points=source, robot="x", seed=0)
     first = summarize(cloud, 0.02)
-    source[1, 0] = 2.0
+    source[1] = 0.0
     assert summarize(cloud, 0.02) == first
     assert first["bbox_max"] == [1.0, 1.0, 1.0]
-    grid = voxelize(cloud, 0.02)
-    assert grid.span == (51, 51, 51)
-    assert grid.occupied == {(0, 0, 0), (50, 50, 50)}
+    assert voxelize(cloud, 0.02) == VoxelGrid(0.02, 2)
     assert not cloud.points.flags.writeable and cloud.points.flags.c_contiguous
 
 
 # --- voxelize ------------------------------------------------------------------
 
+def floor_cells(points, resolution):
+    """The set of voxels the points fall in, as (i, j, k) tuples."""
+    return set(map(tuple, np.floor(points / resolution).astype(np.int64).tolist()))
+
+
+def along(axis, values):
+    """A cloud of points on one axis, at the given coordinates."""
+    points = np.zeros((len(values), 3))
+    points[:, axis] = values
+    return cloud_of(points)
+
+
 def test_voxel_floor_rule():
-    grid = voxelize(cloud_of([[0.005, 0.005, 0.005]]), 0.01)
-    assert grid.occupied == {(0, 0, 0)}
+    # at 0.01, ceil splits 0.0 from 0.005 and rounding 0.0 from 0.0099, and a
+    # grid anchored at the cloud's minimum would join 0.0099 and 0.01
+    for axis in range(3):
+        assert voxelize(along(axis, [0.0, 0.005, 0.0099]), 0.01).occupied_count == 1
+        assert voxelize(along(axis, [0.0099, 0.01]), 0.01).occupied_count == 2
 
 
 def test_voxel_negative_coordinates_floor_down():
-    grid = voxelize(cloud_of([[-0.001, 0.0, 0.019]]), 0.01)
-    assert grid.occupied == {(-1, 0, 1)}
+    # truncation and rounding join -0.001 and 0.001 in voxel 0, and split
+    # -0.01 from -0.001; floor does the opposite
+    for axis in range(3):
+        assert voxelize(along(axis, [-0.001, 0.001]), 0.01).occupied_count == 2
+        assert voxelize(along(axis, [-0.01, -0.0099, -0.001]), 0.01).occupied_count == 1
 
 
 def test_voxel_set_semantics():
@@ -392,31 +410,19 @@ def test_voxel_count_matches_tuple_set_with_negative_coordinates():
     points[::7] = np.round(points[::7], 2)  # some points on voxel faces
     for resolution in (0.01, 0.05, 0.3, 2.0):
         grid = voxelize(cloud_of(points), resolution)
-        expected = set(map(tuple, np.floor(points / resolution).astype(np.int64).tolist()))
-        assert grid.occupied_count == len(expected)
-        assert grid.occupied == expected
-
-
-def test_reachable_is_false_outside_the_grid_box():
-    # no voxel outside the cloud's bounding box is occupied
-    points = np.random.default_rng(8).uniform(-0.5, 0.5, size=(400, 3))
-    grid = voxelize(cloud_of(points), 0.1)
-    lo = np.floor(points.min(axis=0) / 0.1).astype(int)
-    hi = np.floor(points.max(axis=0) / 0.1).astype(int)
-    cells = np.array(sorted(grid.occupied))
-    assert (cells >= lo).all() and (cells <= hi).all()
-    for axis in range(3):
-        for outside in (lo[axis] - 1, hi[axis] + 1):
-            cell = np.floor(points[0] / 0.1).astype(int)
-            cell[axis] = outside
-            assert tuple(cell.tolist()) not in grid.occupied
+        assert grid == VoxelGrid(resolution, len(floor_cells(points, resolution)))
+        assert type(grid.occupied_count) is int  # json.dumps takes no numpy integer
 
 
 def test_voxel_order_independence():
+    # at 0.5 most of the 500 points share a voxel with others
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1, 1, size=(500, 3))
     shuffled = pts[rng.permutation(500)]
-    assert voxelize(cloud_of(pts), 0.05).occupied == voxelize(cloud_of(shuffled), 0.05).occupied
+    for resolution in (0.05, 0.5):
+        expected = len(floor_cells(pts, resolution))
+        assert voxelize(cloud_of(pts), resolution).occupied_count == expected
+        assert voxelize(cloud_of(shuffled), resolution).occupied_count == expected
 
 
 def test_volume_estimate_identity():
@@ -426,29 +432,21 @@ def test_volume_estimate_identity():
 
 
 def test_every_cloud_point_is_reachable_in_its_grid():
+    # the grid counts each voxel that a point of the cloud falls in, once
     cloud = generate_cloud(builtin_fixture("smokie"), SampleSpec(n=500, seed=6))
-    grid = voxelize(cloud, 0.02)
-    assert set(map(tuple, np.floor(cloud.points / 0.02).astype(int).tolist())) <= grid.occupied
+    assert voxelize(cloud, 0.02).occupied_count == len(floor_cells(cloud.points, 0.02))
 
 
 def test_point_beyond_reach_bound_is_unreachable():
-    # every occupied voxel has a point within the reach bound, so a voxel
-    # beyond it is never occupied
+    # every point's voxel has a corner within the reach bound, and no point
+    # falls in a voxel beyond it
     model = builtin_fixture("wam")
     bound = reach_bound(model)
-    grid = voxelize(generate_cloud(model, SampleSpec(n=2000, seed=42)), 0.05)
-    cells = np.array(sorted(grid.occupied))
+    cells = np.floor(generate_cloud(model, SampleSpec(n=2000, seed=42)).points / 0.05)
     nearest = np.clip(0.0, cells * 0.05, (cells + 1) * 0.05)
     assert (np.linalg.norm(nearest, axis=1) <= bound).all()
-    far = np.floor(np.array([bound + 0.5, 0.0, 0.0]) / 0.05).astype(int)
-    assert tuple(far.tolist()) not in grid.occupied
-
-
-def test_voxel_prefix_subset():
-    wam = builtin_fixture("wam")
-    small = voxelize(generate_cloud(wam, SampleSpec(n=5000, seed=42)), 0.02)
-    large = voxelize(generate_cloud(wam, SampleSpec(n=20000, seed=42)), 0.02)
-    assert small.occupied <= large.occupied
+    far = np.floor(np.array([bound + 0.5, 0.0, 0.0]) / 0.05)
+    assert not (cells == far).all(axis=1).any()
 
 
 # --- project -------------------------------------------------------------------
@@ -521,9 +519,9 @@ def test_interior_point_is_well_sampled():
     # the straight-up pose sits inside the dense shell of the workspace,
     # so a 20k-sample grid at 5 cm reliably covers it
     wam = builtin_fixture("wam")
-    grid = voxelize(generate_cloud(wam, SampleSpec(n=20000, seed=42)), 0.05)
-    cell = np.floor(np.array([0.0, 0.0, 0.91]) / 0.05).astype(int)
-    assert tuple(cell.tolist()) in grid.occupied
+    cells = np.floor(generate_cloud(wam, SampleSpec(n=20000, seed=42)).points / 0.05)
+    cell = np.floor(np.array([0.0, 0.0, 0.91]) / 0.05)
+    assert (cells == cell).all(axis=1).any()
 
 
 def test_workspace_is_rotationally_symmetric_about_base():

@@ -20,6 +20,9 @@ SIZES. `fk_batch` is timed over the blocks of `workspace._BLOCK` rows that
 once the positions only; `generate_cloud` runs its blocks on every CPU in
 the affinity mask. `voxelize` and `summarize` get a new cloud each time, so
 they compute its cached bounds, as the CLI does.
+
+Size: the line count of each module of the package and their total (as
+`wc -l` counts them), and the number of names in `dhworkspace.__all__`.
 """
 
 from __future__ import annotations
@@ -125,9 +128,17 @@ def in_process() -> dict:
     return out
 
 
+def source_lines() -> dict:
+    """Lines per module of src/dhworkspace, and their total."""
+    lines = {path.name: path.read_bytes().count(b"\n") for path in sorted((SRC / "dhworkspace").glob("*.py"))}
+    lines["total"] = sum(lines.values())
+    return lines
+
+
 def main() -> None:
     walls = whole_process()
     stages = in_process()
+    import dhworkspace
     import numpy
 
     try:
@@ -142,6 +153,8 @@ def main() -> None:
         "in_process_best_of": REPEATS,
         "in_process_s": stages,
         "whole_process": walls,
+        "source_lines": source_lines(),
+        "public_names": len(dhworkspace.__all__),
     }
     json.dump(record, sys.stdout, indent=2)
     sys.stdout.write("\n")

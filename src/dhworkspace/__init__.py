@@ -5,8 +5,6 @@ from .kinematics import (
     PRISMATIC,
     REVOLUTE,
     DHRow,
-    JointArityError,
-    JointLimitError,
     KinematicsError,
     RobotModel,
     fk_batch,
@@ -39,8 +37,6 @@ __all__ = [
     "REVOLUTE",
     "DHRow",
     "Diagnostic",
-    "JointArityError",
-    "JointLimitError",
     "KinematicsError",
     "PointCloud",
     "RobotModel",

@@ -71,16 +71,16 @@ _seed = _flag_type(int, lambda v: 0 <= v <= MASK64, "an integer in 0 .. 2**64 - 
 _positive_float = _flag_type(float, lambda v: v > 0 and math.isfinite(v), "a finite number > 0")
 
 
-def _read_source(source_arg: str):
+def _read_source(source_arg: str) -> str:
     """Description text for a path or builtin:<name> argument."""
     if source_arg.startswith("builtin:"):
         try:
-            return fixture_source(source_arg[len("builtin:"):]), source_arg
+            return fixture_source(source_arg[len("builtin:"):])
         except ValueError as exc:
             raise _Failure(EXIT_USAGE, str(exc)) from None
     try:
         with open(source_arg, encoding="utf-8-sig") as handle:  # drops a leading BOM
-            return handle.read(), source_arg
+            return handle.read()
     except UnicodeDecodeError:
         raise _Failure(EXIT_PARSE, f"{source_arg}: not valid UTF-8 text") from None
     except OSError as exc:
@@ -118,11 +118,10 @@ def _classify(diags) -> int:
 
 
 def _require_model(source_arg: str):
-    text, label = _read_source(source_arg)
-    model, diags = parse_robot(text)
-    _report(diags, label)
+    model, diags = parse_robot(_read_source(source_arg))
+    _report(diags, source_arg)
     if model is None:
-        raise _Failure(_classify(diags), f"{label}: robot description rejected")
+        raise _Failure(_classify(diags), f"{source_arg}: robot description rejected")
     return model
 
 
@@ -237,9 +236,8 @@ def _ply_text(cloud) -> bytearray:
 
 
 def _cmd_validate(args) -> int:
-    text, label = _read_source(args.robot)
-    _, diags = parse_robot(text)
-    _report(diags, label)
+    _, diags = parse_robot(_read_source(args.robot))
+    _report(diags, args.robot)
     return _classify(diags)
 
 

@@ -27,23 +27,6 @@ class KinematicsError(ValueError):
     """A joint configuration cannot be evaluated against a model."""
 
 
-class JointArityError(KinematicsError):
-    """Configuration length does not match the model's movable joint count."""
-
-
-class JointLimitError(KinematicsError):
-    """A joint value lies outside its row's limits (values are never clamped)."""
-
-    def __init__(self, index: int, value: float, bound: float, which: str):
-        self.index = index
-        self.value = value
-        self.bound = bound
-        self.which = which  # "min" or "max"
-        super().__init__(
-            f"joint {index}: value {value!r} violates {which} limit {bound!r}"
-        )
-
-
 @dataclass(frozen=True)
 class DHRow:
     """One link of a D-H chain; its joint number is its place in the chain.
@@ -106,11 +89,18 @@ class RobotModel:
         return len(self.movable_rows)
 
 
-def _resolve_config(model: RobotModel, config) -> np.ndarray:
-    """Validate a movable-joint configuration and return it as float64."""
+def forward_kinematics(model: RobotModel, config) -> np.ndarray:
+    """Base-to-end-effector transform for one configuration.
+
+    config holds one value per movable row, in row order; fixed rows use
+    their stored constant. A wrong count, a value that is not finite or one
+    outside its row's limits raises KinematicsError rather than being
+    clamped. This is the checked one-pose entry into fk_batch, so it gives
+    the same bits as that pose's row of any batch.
+    """
     q = np.asarray(config, dtype=np.float64).ravel()
     if q.size != model.movable_count:
-        raise JointArityError(
+        raise KinematicsError(
             f"model {model.name!r} has {model.movable_count} movable joints, "
             f"got {q.size} values"
         )
@@ -120,22 +110,10 @@ def _resolve_config(model: RobotModel, config) -> np.ndarray:
             raise KinematicsError(f"joint {joint}: value must be finite, got {value!r}")
         lo, hi = row.limits
         if value < lo:
-            raise JointLimitError(joint, value, lo, "min")
+            raise KinematicsError(f"joint {joint}: value {value!r} violates min limit {lo!r}")
         if value > hi:
-            raise JointLimitError(joint, value, hi, "max")
-    return q
-
-
-def forward_kinematics(model: RobotModel, config) -> np.ndarray:
-    """Base-to-end-effector transform for one configuration.
-
-    config holds one value per movable row, in row order; fixed rows use
-    their stored constant. Values outside a row's limits raise
-    JointLimitError rather than being clamped. This is the checked
-    one-pose entry into fk_batch, so it gives the same bits as that pose's
-    row of any batch.
-    """
-    return fk_batch(model, _resolve_config(model, config)[None])[0]
+            raise KinematicsError(f"joint {joint}: value {value!r} violates max limit {hi!r}")
+    return fk_batch(model, q[None])[0]
 
 
 def fk_batch(model: RobotModel, configs: np.ndarray, *, pose: bool = True) -> np.ndarray:
@@ -169,7 +147,7 @@ def fk_batch(model: RobotModel, configs: np.ndarray, *, pose: bool = True) -> np
     """
     Q = np.asarray(configs, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[1] != model.movable_count:
-        raise JointArityError(
+        raise KinematicsError(
             f"expected shape (n, {model.movable_count}), got {Q.shape}"
         )
     n = Q.shape[0]
@@ -233,8 +211,15 @@ def reach_bound(model: RobotModel) -> float:
     Sum over rows of |a| plus the largest |d + q| the row can produce
     (|d| for revolute rows, worst-case extension for prismatic ones).
     """
+    for total in _reach_sums(model.rows):
+        pass
+    return total
+
+
+def _reach_sums(rows):
+    """reach_bound's running sum after each row, in row order."""
     total = 0.0
-    for row in model.rows:
+    for row in rows:
         total += abs(row.a)
         if row.kind == REVOLUTE:
             total += abs(row.d)
@@ -243,4 +228,4 @@ def reach_bound(model: RobotModel) -> float:
         else:
             lo, hi = row.limits
             total += max(abs(row.d + lo), abs(row.d + hi))
-    return total
+        yield total

@@ -31,7 +31,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .kinematics import JOINT_KINDS, PRISMATIC, DHRow, RobotModel, reach_bound
+from .kinematics import JOINT_KINDS, PRISMATIC, DHRow, RobotModel, _reach_sums
 
 UNIT_FACTORS = {"m": 1.0, "cm": 0.01, "mm": 0.001}
 
@@ -210,11 +210,9 @@ def parse_robot(source: str):
             fixed=fixed,
         ))
     model = RobotModel(name=name, rows=tuple(rows))
-    if not math.isfinite(reach_bound(model)):
-        # report the joint at which the running sum first overflows
-        k = next(k for k in range(1, len(rows) + 1)
-                 if not math.isfinite(reach_bound(RobotModel(name, model.rows[:k]))))
-        j = joints[k - 1]
+    # report the joint at which reach_bound's running sum first overflows
+    j = next((j for j, total in zip(joints, _reach_sums(rows)) if not math.isfinite(total)), None)
+    if j is not None:
         diags.append(_err(j.line, j.column, f"joint {j.index}: the sum of link lengths "
                           "overflows a float", "range-overflow"))
     if any(d.severity == ERROR for d in diags):

@@ -75,7 +75,6 @@ class VoxelGrid:
     counts at equal resolution count cells of one grid, whatever the cloud.
     """
 
-    resolution: float
     occupied_count: int
 
 
@@ -204,7 +203,7 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
         keys *= axis_span
         keys += index
     keys.sort()
-    return VoxelGrid(resolution, 1 + int(np.count_nonzero(keys[1:] != keys[:-1])))
+    return VoxelGrid(1 + int(np.count_nonzero(keys[1:] != keys[:-1])))
 
 
 def project(cloud: PointCloud, plane: str) -> np.ndarray:

@@ -147,6 +147,73 @@ def test_smokie_large_sample_reach():
     assert elapsed < 10.0
 
 
+# ----------------------------------------------------------------------------
+# an analytic oracle for the volume: a spherical (RRP) arm whose workspace
+# is the shell 0.2 <= |p| <= 0.5
+
+SHELL = (0.2, 0.5)
+
+
+@pytest.fixture(scope="module")
+def shell_cloud():
+    """1M samples of the RRP arm, seed 7. Its end point is
+    q * (sin q2 cos q1, sin q2 sin q1, cos q2) with q in [0.2, 0.5), and
+    q1, q2 sweep the whole sphere."""
+    model = RobotModel(name="shell", rows=(
+        DHRow(kind=REVOLUTE, a=0.0, alpha=-math.pi / 2, d=0.0, limits=(-math.pi, math.pi)),
+        DHRow(kind=REVOLUTE, a=0.0, alpha=math.pi / 2, d=0.0, limits=(-math.pi, math.pi)),
+        DHRow(kind=PRISMATIC, a=0.0, alpha=0.0, d=0.0, limits=SHELL),
+    ))
+    return generate_cloud(model, SampleSpec(n=1_000_000, seed=7))
+
+
+def shell_volume(inner, outer):
+    return 4.0 / 3.0 * math.pi * (outer ** 3 - max(inner, 0.0) ** 3)
+
+
+def test_shell_arm_stays_in_its_shell(shell_cloud):
+    """Every point of the RRP arm's cloud lies in the shell 0.2 <= |p| <= 0.5
+    (to 1e-12 m of rounding), its max reach is below 0.5 and its bounding
+    box lies within +-0.5 on every axis."""
+    radii = np.linalg.norm(shell_cloud.points, axis=1)
+    assert float(radii.min()) >= SHELL[0] - 1e-12
+    assert float(radii.max()) <= SHELL[1] + 1e-12
+    summary = summarize(shell_cloud, 0.04)
+    assert summary["max_reach_m"] < SHELL[1]
+    assert all(-SHELL[1] <= v <= SHELL[1] for v in summary["bbox_min"] + summary["bbox_max"])
+
+
+def test_shell_arm_volume_lies_in_its_rigorous_band(shell_cloud):
+    """At n = 1M and h = 0.04, volume_m3 lies between the volumes of the
+    shell shrunk and grown by a voxel diagonal, e = sqrt(3) * h:
+    [0.2529, 0.7635] m^3 around the true V = 0.4901 m^3.
+
+    Upper end: a counted voxel holds a sample, which lies in the shell, and
+    every point of the voxel is within e of that sample. So the counted
+    voxels lie in the shell grown by e, max(0, 0.2 - e) <= |p| <= 0.5 + e.
+
+    Lower end: every voxel that lies wholly in the shell is counted (below).
+    A point of the shrunk shell, 0.2 + e <= |p| <= 0.5 - e, lies in a voxel
+    whose points are all within e of it, so in the shell; that voxel is
+    counted, and the counted voxels cover the shrunk shell.
+
+    Why every voxel wholly in the shell is hit: q1, q2 are uniform on
+    [-pi, pi) and q on [0.2, 0.5), and the map to p is two-to-one with
+    Jacobian q^2 |sin q2|. So a sample lands at p with density
+    2 / ((2 pi)^2 * 0.3 * q^2 |sin q2|) per m^3, least at q = 0.5 on the
+    equator (|sin q2| = 1): 0.675 per m^3. A voxel in the shell then
+    expects at least 0.675 * n * h^3 = 43.2 samples, and gets none with
+    chance below exp(-43) < 2e-19. Fewer than V / h^3 < 7700 voxels lie in
+    the shell, so the chance that any is missed is below 2e-15.
+    """
+    h = 0.04
+    e = math.sqrt(3) * h
+    least_density = 2 / ((2 * math.pi) ** 2 * (SHELL[1] - SHELL[0]) * SHELL[1] ** 2)
+    assert least_density * len(shell_cloud.points) * h ** 3 > 43
+    volume = summarize(shell_cloud, h)["volume_m3"]
+    assert shell_volume(SHELL[0] + e, SHELL[1] - e) <= volume <= shell_volume(SHELL[0] - e, SHELL[1] + e)
+
+
 def test_cli_outputs_are_deterministic(tmp_path, capsys):
     """Re-running `workspace` with equal flags produces byte-identical CSV
     and PLY files, and a 5000-sample cloud is the bitwise prefix of the

@@ -12,6 +12,7 @@ from dhworkspace import (
     fixture_source,
     parse_robot,
 )
+from dhworkspace import robotfile
 
 H = 'robot "T"\nunits m\n'
 OK = "joint 1 type=revolute a=0 alpha=0 d=0 offset=0 min=-1 max=1\n"
@@ -213,6 +214,31 @@ def test_zero_span_is_a_warning_not_an_error():
 def test_diagnostic_str_is_greppable():
     _, diags = parse_robot(H + "joint 1 type=revolute a=0 alpha=0 d=0 offset=0 min=2 max=1\n")
     assert str(diags[0]) == "3:48: error: min 2.0 > max 1.0 [limits-inverted]"
+
+
+def test_reach_overflow_is_found_in_one_pass(monkeypatch):
+    # the joint at which the sum of link lengths overflows is found by one
+    # running sum: each row's `a` is read a bounded number of times, not
+    # once for every prefix of the chain that holds it
+    reads = []
+
+    class CountingRow(robotfile.DHRow):
+        def __getattribute__(self, name):
+            if name == "a":
+                reads.append(name)
+            return super().__getattribute__(name)
+
+    monkeypatch.setattr(robotfile, "DHRow", CountingRow)
+    k = 200
+    joints = [f"joint {i} type=revolute a=1e305 alpha=0 d=0 offset=0 min=-1 max=1\n"
+              for i in range(1, k)]
+    # 199e305 is finite; adding 1.7e308 is not
+    src = H + "".join(joints) + f"joint {k} type=revolute a=1.7e308 alpha=0 d=0 offset=0 min=-1 max=1\n"
+    model, diags = parse_robot(src)
+    assert model is None
+    assert [(d.line, d.code, d.message) for d in diags] == [
+        (k + 2, "range-overflow", f"joint {k}: the sum of link lengths overflows a float")]
+    assert len(reads) <= 3 * k
 
 
 def test_parser_survives_small_fuzz():

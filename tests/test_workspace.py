@@ -313,7 +313,7 @@ def test_cloud_keeps_its_own_copy_of_the_points():
     source[1] = 0.0
     assert summarize(cloud, 0.02) == first
     assert first["bbox_max"] == [1.0, 1.0, 1.0]
-    assert voxelize(cloud, 0.02) == VoxelGrid(0.02, 2)
+    assert voxelize(cloud, 0.02) == VoxelGrid(2)
     assert not cloud.points.flags.writeable and cloud.points.flags.c_contiguous
 
 
@@ -410,7 +410,7 @@ def test_voxel_count_matches_tuple_set_with_negative_coordinates():
     points[::7] = np.round(points[::7], 2)  # some points on voxel faces
     for resolution in (0.01, 0.05, 0.3, 2.0):
         grid = voxelize(cloud_of(points), resolution)
-        assert grid == VoxelGrid(resolution, len(floor_cells(points, resolution)))
+        assert grid == VoxelGrid(len(floor_cells(points, resolution)))
         assert type(grid.occupied_count) is int  # json.dumps takes no numpy integer
 
 

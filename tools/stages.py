@@ -7,19 +7,25 @@ Run from anywhere, with no options:
 It times the checkout it lives in (its `src/`), whatever is installed.
 
 Whole process: the `volume` and `workspace` csv commands of the benchmark's
-two workloads, RUNS times each, alternating. Wall time is taken from spawn
-to reap, and the CLI's own peak RSS and minor page faults from `os.wait4`.
-A child inherits its parent's RSS high-water mark through fork and exec, so
-these run first, before this process imports numpy. The faults count the
-pages the CLI touched for the first time, heap pages that the allocator gave
-back and took again included: a cost the warm in-process calls below hide.
+two workloads, and the start-up cost beside them (`python -c pass`,
+`python -c "import numpy"` and `validate builtin:wam`), RUNS times each,
+alternating. Wall time is taken from spawn to reap, and the child's own peak
+RSS and minor page faults from `os.wait4`. A child inherits its parent's RSS
+high-water mark through fork and exec, so these run first, before this
+process imports numpy. The faults count the pages the child touched for the
+first time, heap pages that the allocator gave back and took again included:
+a cost the warm in-process calls below hide. Where PYTHONDONTWRITEBYTECODE
+is set, no bytecode cache is written and every child compiles the package
+again; the record keeps its value beside these rows.
 
 In process: the best of REPEATS single calls of each stage, at each of
 SIZES. `fk_batch` is timed over the blocks of `workspace._BLOCK` rows that
 `generate_cloud` hands it, on one thread, once returning the 4x4 poses and
-once the positions only; `generate_cloud` runs its blocks on every CPU in
-the affinity mask. `voxelize` and `summarize` get a new cloud each time, so
-they compute its cached bounds, as the CLI does.
+once the positions only, each in a new process that has only drawn the
+samples, so no earlier stage has grown the heap it allocates from;
+`generate_cloud` runs its blocks on every CPU in the affinity mask.
+`voxelize` and `summarize` get a new cloud each time, so they compute its
+cached bounds, as the CLI does.
 
 Size: the line count of each module of the package and their total (as
 `wc -l` counts them), and the number of names in `dhworkspace.__all__`.
@@ -30,13 +36,16 @@ from __future__ import annotations
 import json
 import os
 import platform
+import shlex
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TOOLS = Path(__file__).resolve().parent
+SRC = TOOLS.parent / "src"
 SEED = 7
 SIZES = (("wam", 20_000), ("wam", 200_000), ("smokie", 1_000_000))
 REPEATS = 7
@@ -45,16 +54,15 @@ RESOLUTION = 0.02
 
 
 def _spawn(argv: list[str], env: dict) -> tuple[float, float, int]:
-    """(wall seconds, peak RSS in MB, minor page faults) of one CLI run;
-    stdout goes to /dev/null."""
+    """(wall seconds, peak RSS in MB, minor page faults) of one run of this
+    Python with argv; stdout goes to /dev/null."""
     actions = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
     start = time.perf_counter()
-    pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "dhworkspace.cli", *argv], env,
-                         file_actions=actions)
+    pid = os.posix_spawn(sys.executable, [sys.executable, *argv], env, file_actions=actions)
     _, status, usage = os.wait4(pid, 0)
     wall = time.perf_counter() - start
     if os.waitstatus_to_exitcode(status) != 0:
-        raise RuntimeError(f"dhworkspace {' '.join(argv)} exited with status {status}")
+        raise RuntimeError(f"python {shlex.join(argv)} exited with status {status}")
     return wall, usage.ru_maxrss / 1024.0, usage.ru_minflt  # ru_maxrss is in KiB on Linux
 
 
@@ -63,14 +71,18 @@ def whole_process() -> dict:
         raise RuntimeError("numpy is imported: the CLI children would inherit this process's peak RSS")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     with tempfile.TemporaryDirectory() as scratch:
+        cli = ["-m", "dhworkspace.cli"]
         commands = {
-            "volume_smokie_1000000": ["volume", "builtin:smokie", "--samples", "1000000",
+            "volume_smokie_1000000": [*cli, "volume", "builtin:smokie", "--samples", "1000000",
                                       "--seed", str(SEED), "--voxel", str(RESOLUTION)],
-            "workspace_csv_wam_200000": ["workspace", "builtin:wam", "--samples", "200000",
+            "workspace_csv_wam_200000": [*cli, "workspace", "builtin:wam", "--samples", "200000",
                                          "--seed", str(SEED), "--format", "csv",
                                          "--out", os.path.join(scratch, "cloud.csv")],
+            "python_pass": ["-c", "pass"],
+            "python_import_numpy": ["-c", "import numpy"],
+            "validate_wam": [*cli, "validate", "builtin:wam"],
         }
-        shown = {name: " ".join(argv).replace(scratch, "<tmp>") for name, argv in commands.items()}
+        shown = {name: shlex.join(argv).replace(scratch, "<tmp>") for name, argv in commands.items()}
         runs = {name: [] for name in commands}
         for _ in range(RUNS):
             for name, argv in commands.items():
@@ -78,7 +90,7 @@ def whole_process() -> dict:
     out = {}
     for name, triples in runs.items():
         walls, rss, faults = (list(column) for column in zip(*triples))
-        out[name] = {"command": "dhworkspace " + shown[name], "runs": len(triples),
+        out[name] = {"command": "python " + shown[name], "runs": len(triples),
                      "median_wall_s": statistics.median(walls), "min_wall_s": min(walls),
                      "median_peak_rss_mb": statistics.median(rss),
                      "median_minor_faults": statistics.median(faults),
@@ -97,29 +109,50 @@ def _best(fn, setup=lambda: None) -> float:
     return min(times)
 
 
+def kernel(robot: str, n: int, pose: bool) -> float:
+    """Best time of fk_batch over the blocks of n samples of robot; run by
+    kernel_rows in a process of its own."""
+    sys.path.insert(0, str(SRC))
+    from dhworkspace import SampleSpec, builtin_fixture, fk_batch, joint_samples, workspace
+
+    model = builtin_fixture(robot)
+    Q = joint_samples(model, SampleSpec(n=n, seed=SEED))
+    blocks = [Q[start:start + workspace._BLOCK] for start in range(0, n, workspace._BLOCK)]
+
+    def run(_):
+        for block in blocks:  # each result is dropped, as generate_cloud copies it out
+            fk_batch(model, block, pose=pose)
+
+    return _best(run)
+
+
+def kernel_rows() -> dict:
+    """The fk_batch rows of each size, each from a new process."""
+    out = {}
+    for robot, n in SIZES:
+        for pose, row in ((True, "fk_batch_pose"), (False, "fk_batch_positions")):
+            code = f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import stages; " \
+                   f"print(stages.kernel({robot!r}, {n}, {pose}))"
+            child = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE, check=True)
+            out.setdefault(f"{robot}_{n}", {})[row] = float(child.stdout)
+    return out
+
+
 def in_process() -> dict:
     sys.path.insert(0, str(SRC))
-    from dhworkspace import (PointCloud, SampleSpec, builtin_fixture, cli, fk_batch, generate_cloud,
-                             joint_samples, summarize, voxelize, workspace)
+    from dhworkspace import (PointCloud, SampleSpec, builtin_fixture, cli, generate_cloud, joint_samples,
+                             summarize, voxelize)
 
     out = {}
     for robot, n in SIZES:
         model, spec = builtin_fixture(robot), SampleSpec(n=n, seed=SEED)
-        Q = joint_samples(model, spec)
-        blocks = [Q[start:start + workspace._BLOCK] for start in range(0, n, workspace._BLOCK)]
         points = generate_cloud(model, spec).points
 
         def cloud():
             return PointCloud(points=points, robot=model.name, seed=SEED)
 
-        def kernel(pose):
-            for block in blocks:  # each result is dropped, as generate_cloud copies it out
-                fk_batch(model, block, pose=pose)
-
         out[f"{robot}_{n}"] = {
             "joint_samples": _best(lambda _: joint_samples(model, spec)),
-            "fk_batch_pose": _best(lambda _: kernel(True)),
-            "fk_batch_positions": _best(lambda _: kernel(False)),
             "generate_cloud": _best(lambda _: generate_cloud(model, spec)),
             "voxelize": _best(lambda c: voxelize(c, RESOLUTION), cloud),
             "summarize": _best(lambda c: summarize(c, RESOLUTION), cloud),
@@ -137,7 +170,10 @@ def source_lines() -> dict:
 
 def main() -> None:
     walls = whole_process()
+    kernels = kernel_rows()
     stages = in_process()
+    for size, rows in kernels.items():
+        stages[size].update(rows)
     import dhworkspace
     import numpy
 
@@ -153,6 +189,7 @@ def main() -> None:
         "in_process_best_of": REPEATS,
         "in_process_s": stages,
         "whole_process": walls,
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "source_lines": source_lines(),
         "public_names": len(dhworkspace.__all__),
     }

@@ -1,5 +1,8 @@
 """Forward kinematics and Monte Carlo workspace mapping for serial arms
-described by Denavit-Hartenberg parameters."""
+described by Denavit-Hartenberg parameters.
+
+Importing the package and parsing a description load no numpy: each function
+that computes with arrays imports it when called."""
 
 from .kinematics import (
     PRISMATIC,

@@ -19,13 +19,12 @@ finite or lies near a rounding tie is printed with `%` instead.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import tempfile
-
-import numpy as np
 
 from .kinematics import REVOLUTE, KinematicsError, forward_kinematics
 from .rng import MASK64
@@ -149,22 +148,27 @@ def _write_out(path: str, data: bytes) -> None:
         raise _Failure(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _words(*columns):
-    """One native uint32 per entry whose four bytes are the columns' codes, in order."""
-    return np.stack(np.broadcast_arrays(*columns), axis=1).astype(np.uint8).view(np.uint32).ravel()
+@functools.cache
+def _digit_words():
+    """The lookup words of _digit_text, built on its first call.
 
+    Four 4-byte words spell one `%.9f` value and what follows it: sign and
+    integer digits ("-ddd", indexed by the integer part, + 1000 when
+    negative), ".ddd", "ddd" and "ddd" + separator. NUL bytes stand for an
+    absent sign, leading zeros and the filler after the middle group; the
+    formatter deletes them. Returns the tables (head, point, middle, {sep: last}).
+    """
+    import numpy as np
 
-# Four 4-byte words spell one `%.9f` value and what follows it: sign and integer
-# digits ("-ddd", indexed by the integer part, + 1000 when negative), ".ddd",
-# "ddd" and "ddd" + separator. NUL bytes stand for an absent sign, leading zeros
-# and the filler after the middle group; the formatter deletes them.
-_N = np.arange(1000)
-_DIGITS = (48 + _N // 100, 48 + _N // 10 % 10, 48 + _N % 10)
-_INTEGER = (np.where(_N >= 100, _DIGITS[0], 0), np.where(_N >= 10, _DIGITS[1], 0), _DIGITS[2])
-_HEAD = np.concatenate([_words(0, *_INTEGER), _words(ord("-"), *_INTEGER)])
-_POINT = _words(ord("."), *_DIGITS)
-_MIDDLE = _words(*_DIGITS, 0)
-_LAST = {sep: _words(*_DIGITS, ord(sep)) for sep in ", \n"}
+    def words(*columns):  # one native uint32 per entry, its bytes the columns' codes
+        return np.stack(np.broadcast_arrays(*columns), axis=1).astype(np.uint8).view(np.uint32).ravel()
+
+    n = np.arange(1000)
+    digits = (48 + n // 100, 48 + n // 10 % 10, 48 + n % 10)
+    integer = (np.where(n >= 100, digits[0], 0), np.where(n >= 10, digits[1], 0), digits[2])
+    head = np.concatenate([words(0, *integer), words(ord("-"), *integer)])
+    last = {sep: words(*digits, ord(sep)) for sep in ", \n"}
+    return head, words(ord("."), *digits), words(*digits, 0), last
 
 
 def _digit_text(block, sep: str):
@@ -175,6 +179,7 @@ def _digit_text(block, sep: str):
     block gives None, as does one with a value that rounds to 1000 or more or
     is not finite. sep is "," or " ".
     """
+    import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):  # inf, nan and 1e300 fail the range test
         scaled = np.abs(block) * 1e9
         k = np.rint(scaled)
@@ -192,12 +197,13 @@ def _digit_text(block, sep: str):
     head = millions // 1000
     point = millions - head * 1000
     head += (block < 0) * 1000  # -0.0 is not < 0, so it prints as 0.000000000
+    head_words, point_words, middle_words, last_words = _digit_words()
     words = np.empty(block.shape + (4,), np.uint32)
-    np.take(_HEAD, head, out=words[:, :, 0])
-    np.take(_POINT, point, out=words[:, :, 1])
-    np.take(_MIDDLE, middle, out=words[:, :, 2])
-    np.take(_LAST[sep], last[:, :-1], out=words[:, :-1, 3])
-    np.take(_LAST["\n"], last[:, -1], out=words[:, -1, 3])
+    np.take(head_words, head, out=words[:, :, 0])
+    np.take(point_words, point, out=words[:, :, 1])
+    np.take(middle_words, middle, out=words[:, :, 2])
+    np.take(last_words[sep], last[:, :-1], out=words[:, :-1, 3])
+    np.take(last_words["\n"], last[:, -1], out=words[:, -1, 3])
     return words.tobytes().translate(None, b"\0")
 
 
@@ -248,10 +254,7 @@ def _cmd_fk(args) -> int:
     except ValueError:
         raise _Failure(EXIT_USAGE, f"--q expects comma-separated numbers, got {args.q!r}") from None
     movable = model.movable_rows
-    if len(q) != len(movable):
-        raise _Failure(EXIT_FK_DOMAIN,
-                       f"robot has {len(movable)} movable joints, --q gave {len(q)} values")
-    if args.degrees:
+    if args.degrees and len(q) == len(movable):  # otherwise forward_kinematics refuses the count
         q = [math.radians(v) if row.kind == REVOLUTE else v
              for row, v in zip(movable, q)]
     try:

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
 
@@ -98,6 +96,7 @@ def forward_kinematics(model: RobotModel, config) -> np.ndarray:
     clamped. This is the checked one-pose entry into fk_batch, so it gives
     the same bits as that pose's row of any batch.
     """
+    import numpy as np
     q = np.asarray(config, dtype=np.float64).ravel()
     if q.size != model.movable_count:
         raise KinematicsError(
@@ -145,6 +144,7 @@ def fk_batch(model: RobotModel, configs: np.ndarray, *, pose: bool = True) -> np
     bits as without the skips, and the 4x4's rotation can differ only in
     the sign of an exact zero.
     """
+    import numpy as np
     Q = np.asarray(configs, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[1] != model.movable_count:
         raise KinematicsError(

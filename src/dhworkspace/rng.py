@@ -10,8 +10,6 @@ Reference vectors (seed 0): 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, ...
 
 from __future__ import annotations
 
-import numpy as np
-
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -49,6 +47,7 @@ def bulk_unit(seed: int, count: int, offset: int = 0) -> np.ndarray:
     place on one uint64 array, with the float64 result, viewed as uint64,
     as the shift temporary; one converting multiply then writes the draws.
     """
+    import numpy as np
     if count < 0:
         raise ValueError("count must be >= 0")
     if offset < 0:

@@ -18,8 +18,6 @@ import os
 import threading
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kinematics import RobotModel, fk_batch
 from .rng import MASK64, bulk_unit
 
@@ -54,6 +52,7 @@ class PointCloud:
     seed: int
 
     def __post_init__(self):
+        import numpy as np
         object.__setattr__(self, "points", np.array(self.points, dtype=np.float64, order="C"))
         if self.points.shape[1:] != (3,) or self.points.size == 0:
             raise ValueError(f"points shape {self.points.shape} is not (k, 3) with k >= 1")
@@ -89,6 +88,7 @@ def joint_samples(model: RobotModel, spec: SampleSpec, start: int = 0,
     draws the same bits as the whole matrix's slice; a range outside
     0 <= start <= stop <= spec.n raises ValueError.
     """
+    import numpy as np
     movable = model.movable_rows
     m = len(movable)
     if m == 0:
@@ -119,6 +119,7 @@ def generate_cloud(model: RobotModel, spec: SampleSpec) -> PointCloud:
     the bytes do not depend on the thread count. An exception in any block
     is raised here after every thread has ended.
     """
+    import numpy as np
     n = spec.n
     if n > np.iinfo(np.intp).max // 24:  # more bytes than an array can index
         raise MemoryError(f"cannot allocate {n} points")
@@ -168,6 +169,7 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
     index of magnitude 2**62 or more, or a box of more than 2**62 voxels,
     whose packed keys would not fit in int64.
     """
+    import numpy as np
     if not (resolution > 0 and math.isfinite(resolution)):
         raise ValueError(f"voxel resolution must be a positive finite number, got {resolution}")
     points = cloud.points
@@ -208,9 +210,9 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
 
 def project(cloud: PointCloud, plane: str) -> np.ndarray:
     """(n, 2) read-only view of the cloud: xy drops z, xz drops y, yz drops x."""
-    columns = {"xy": np.s_[:, :2], "xz": np.s_[:, ::2], "yz": np.s_[:, 1:]}
+    columns = {"xy": slice(None, 2), "xz": slice(None, None, 2), "yz": slice(1, None)}
     try:
-        return cloud.points[columns[plane]]
+        return cloud.points[:, columns[plane]]
     except KeyError:
         raise ValueError(f"plane must be one of xy, xz, yz; got {plane!r}") from None
 

@@ -127,9 +127,11 @@ def test_fk_degrees_leaves_prismatic_values_alone(tmp_path, capsys):
 
 
 def test_fk_wrong_arity_exits_4(capsys):
-    code, _, err = run(capsys, "fk", "builtin:wam", "--q", "0,0")
-    assert code == 4
-    assert "6 movable joints" in err
+    # forward_kinematics alone checks the count; --degrees must not drop extra values
+    for argv, given in ((["--q", "0,0"], 2), (["--q", "0,0,0,0,0,0,0", "--degrees"], 7)):
+        code, out, err = run(capsys, "fk", "builtin:wam", *argv)
+        assert (code, out) == (4, "")
+        assert err == f"error: model 'WAM' has 6 movable joints, got {given} values\n"
 
 
 def test_fk_out_of_limit_exits_4(capsys):
@@ -527,3 +529,29 @@ def test_console_script_is_installed():
                     reason=f"package not installed: no {INSTALLED_SCRIPT}")
 def test_installed_console_script_runs():
     _check_console_command([str(INSTALLED_SCRIPT)])
+
+
+# --- start-up -------------------------------------------------------------------
+
+def _numpy_loaded_after(code, *args):
+    """Whether a new interpreter has imported numpy once it has run code."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE_PARENT),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", f"import sys; {code}; print('numpy' in sys.modules)", *args],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    return child.stdout.splitlines()[-1] == "True"
+
+
+def test_parsing_and_validate_do_not_import_numpy(tmp_path):
+    path = tmp_path / "wam.robot"
+    path.write_text(dhworkspace.fixture_source("wam"), encoding="utf-8")
+    for code in ("import dhworkspace",
+                 "import dhworkspace; dhworkspace.builtin_fixture('wam')",
+                 "import dhworkspace, pathlib; "
+                 "assert dhworkspace.parse_robot(pathlib.Path(sys.argv[1]).read_text('utf-8'))[0]",
+                 "from dhworkspace.cli import main; assert main(['validate', 'builtin:wam']) == 0"):
+        assert not _numpy_loaded_after(code, str(path)), code
+    # the check itself can see numpy come in
+    assert _numpy_loaded_after("from dhworkspace.cli import main; assert main(['fk', 'builtin:wam', '--q', "
+                               "'0,0,0,0,0,0']) == 0")

@@ -8,7 +8,8 @@ It times the checkout it lives in (its `src/`), whatever is installed.
 
 Whole process: the `volume` and `workspace` csv commands of the benchmark's
 two workloads, and the start-up cost beside them (`python -c pass`,
-`python -c "import numpy"` and `validate builtin:wam`), RUNS times each,
+`python -c "import numpy"`, the benchmark's set-up probe, which imports the
+package and parses smokie, and `validate builtin:wam`), RUNS times each,
 alternating. Wall time is taken from spawn to reap, and the child's own peak
 RSS and minor page faults from `os.wait4`. A child inherits its parent's RSS
 high-water mark through fork and exec, so these run first, before this
@@ -80,6 +81,7 @@ def whole_process() -> dict:
                                          "--out", os.path.join(scratch, "cloud.csv")],
             "python_pass": ["-c", "pass"],
             "python_import_numpy": ["-c", "import numpy"],
+            "setup_smokie": ["-c", "import sys, dhworkspace; dhworkspace.builtin_fixture(sys.argv[1])", "smokie"],
             "validate_wam": [*cli, "validate", "builtin:wam"],
         }
         shown = {name: shlex.join(argv).replace(scratch, "<tmp>") for name, argv in commands.items()}

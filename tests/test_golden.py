@@ -1,4 +1,4 @@
-"""Frozen SHA-256 digests of CLI output bytes.
+"""Frozen SHA-256 digests of CLI output bytes and of parser diagnostics.
 
 Each digest was taken once from `--samples 2000 --seed 42` on a bundled
 fixture, from `--samples 49159 --seed 42` on wam (3 * 16384 + 7 rows, so
@@ -7,12 +7,17 @@ transform prints a `-0.000000000` entry. A change that moves a byte of any outpu
 here on purpose and say why in CHANGES.md; a test that only compares a run
 with a second run of the same code cannot catch such drift. One test also
 recomputes the fk digests and a CSV digest in a child process whose numpy
-dispatches no AVX2 or AVX-512 code.
+dispatches no AVX2 or AVX-512 code. One more digest covers `parse_robot`:
+the model and every diagnostic it gives for a seeded corpus of description
+files.
 """
 
+import functools
 import hashlib
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +25,9 @@ from pathlib import Path
 import pytest
 
 import dhworkspace
+from dhworkspace import fixture_source, parse_robot
 from dhworkspace.cli import main
+from test_robotfile import MALFORMED
 
 FIXTURES = ("smokie", "wam", "wam-code-variant")
 SAMPLING = ("--samples", "2000", "--seed", "42")
@@ -166,3 +173,56 @@ def test_digests_hold_with_baseline_simd(tmp_path):
     assert result["enabled"] == []
     expected = [digest for _, (_, digest) in sorted(GOLDEN_FK.items())]
     assert result["digests"] == expected + [GOLDEN_BLOCKS["csv"]]
+
+
+#: sha256 over repr(model) and str() of each diagnostic, file by file, of
+#: diagnostic_corpus(); the model and messages it freezes are what
+#: `validate` prints and what every other command starts from
+GOLDEN_DIAGNOSTICS = "02d9a922d0c2a269f6df3f1a2826d95ff71a522957e1d15c324b8a010bb759de"
+
+#: characters a mutation inserts: the format's own, and line ends
+MUTATION_ALPHABET = '0123456789 .-+eE=#"/pi\n\r\tabcdfmnorstuxy'
+
+
+@functools.cache
+def diagnostic_corpus():
+    """The fixtures, the MALFORMED sources, and 2000 files built from their
+    lines with one to three single-character edits each.
+
+    Half the files start from a fixture, so that some still parse and their
+    models are frozen too. Only random(), randrange() and choice() draw, so
+    every supported Python builds the same files from the seed."""
+    fixtures = [fixture_source(f) for f in FIXTURES]
+    pieces = fixtures + [source for _, source, *_ in MALFORMED]
+    rng = random.Random(2017)
+    corpus = list(pieces)
+    for _ in range(2000):
+        lines = rng.choice(fixtures if rng.random() < 0.5 else pieces).splitlines(keepends=True)
+        if rng.random() < 0.3:  # splice in a line of another piece
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(rng.choice(pieces).splitlines(keepends=True)))
+        text = "".join(lines)
+        for _ in range(1 + rng.randrange(3)):
+            at, edit = rng.randrange(len(text) + 1), rng.random()
+            if edit < 1 / 3:  # delete
+                text = text[:at] + text[at + 1:]
+            elif edit < 2 / 3:  # insert
+                text = text[:at] + rng.choice(MUTATION_ALPHABET) + text[at:]
+            else:  # replace
+                text = text[:at] + rng.choice(MUTATION_ALPHABET) + text[at + 1:]
+        corpus.append(text)
+    return corpus
+
+
+def test_diagnostic_digest_is_frozen():
+    h = hashlib.sha256()
+    for source in diagnostic_corpus():
+        model, diags = parse_robot(source)
+        h.update("\n".join([repr(model), *map(str, diags), ""]).encode("utf-8"))
+    assert h.hexdigest() == GOLDEN_DIAGNOSTICS
+
+
+def test_readme_lists_exactly_the_codes_the_corpus_reaches():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    listed = readme.split("Diagnostic codes the parser can emit:", 1)[1].split("\n\n", 1)[0]
+    reached = {d.code for source in diagnostic_corpus() for d in parse_robot(source)[1]}
+    assert reached == set(re.findall(r"`([a-z-]+)`", listed))

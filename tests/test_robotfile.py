@@ -130,6 +130,8 @@ MALFORMED = [
     ("limits-inverted", H + "joint 1 type=revolute a=0 alpha=0 d=0 offset=0 min=2 max=1\n",
      "limits-inverted", 3, "min=2"),
     ("fixed-out-of-range", H + OK.rstrip() + " fixed=9\n", "fixed-out-of-range", 3, "fixed=9"),
+    ("span-overflow", H + "joint 1 type=revolute a=0 alpha=0 d=0 offset=0 min=-1e308 max=1e308\n",
+     "range-overflow", 3, "min="),
     ("no-joints", H, "no-joints", 1, None),
     ("all-joints-fixed", H + OK.rstrip() + " fixed=0\n", "all-joints-fixed", 3, "1"),
 ]

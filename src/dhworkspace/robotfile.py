@@ -83,10 +83,6 @@ def _err(line, column, message, code):
     return Diagnostic(ERROR, line, column, message, code)
 
 
-def _warn(line, column, message, code):
-    return Diagnostic(WARNING, line, column, message, code)
-
-
 def _parse_value(raw: str, allow_pi: bool) -> float | None:
     """Parse a numeric token, optionally accepting pi-fraction forms."""
     if allow_pi:
@@ -101,20 +97,6 @@ def _parse_value(raw: str, allow_pi: bool) -> float | None:
     return None
 
 
-class _JointLine:
-    """Raw field values of one joint line, before unit conversion."""
-
-    __slots__ = ("index", "line", "column", "kind", "values", "cols")
-
-    def __init__(self, index, line, column):
-        self.index = index
-        self.line = line
-        self.column = column  # column of the index token
-        self.kind = None
-        self.values = {}  # field name -> float
-        self.cols = {}  # field name -> 1-based column of the token
-
-
 def parse_robot(source: str):
     """Parse description text into (RobotModel, diagnostics).
 
@@ -125,6 +107,8 @@ def parse_robot(source: str):
     diags = []
     name = None
     units = None
+    header_lines = {}  # directive -> line of its first occurrence
+    first_joint = None  # (line, column) of the first joint line
     joints = []
 
     for lineno, raw in enumerate(_LINE_END_RE.split(source), start=1):
@@ -134,100 +118,97 @@ def parse_robot(source: str):
             continue
         word, col = tokens[0]
 
-        if word == "robot":
-            if name is not None:
-                diags.append(_err(lineno, col, "duplicate 'robot' directive", "duplicate-directive"))
+        if word in ("robot", "units"):
+            if word in header_lines:
+                diags.append(_err(lineno, col, f"duplicate {word!r} directive", "duplicate-directive"))
                 continue
-            m = _ROBOT_RE.match(text)
-            if m is None or not m.group(1):
-                at = tokens[1][1] if len(tokens) > 1 else col
-                diags.append(_err(lineno, at, 'expected: robot "<name>"', "bad-robot-name"))
-                name = ""  # header was present, just malformed
-            else:
-                name = m.group(1)
-
-        elif word == "units":
-            if units is not None:
-                diags.append(_err(lineno, col, "duplicate 'units' directive", "duplicate-directive"))
-                continue
-            if len(tokens) != 2 or tokens[1][0] not in UNIT_FACTORS:
-                at = tokens[1][1] if len(tokens) > 1 else col
+            header_lines[word] = lineno
+            at = tokens[1][1] if len(tokens) > 1 else col
+            if word == "robot":
+                m = _ROBOT_RE.match(text)
+                if m is None or not m.group(1):
+                    diags.append(_err(lineno, at, 'expected: robot "<name>"', "bad-robot-name"))
+                else:
+                    name = m.group(1)
+            elif len(tokens) != 2 or tokens[1][0] not in UNIT_FACTORS:
                 diags.append(_err(lineno, at, "expected: units <m|cm|mm>", "bad-units"))
-                units = "m"  # placeholder; an error is already recorded
             else:
                 units = tokens[1][0]
 
         elif word == "joint":
-            if not joints:  # the headers must come before the first joint line
-                for header, value in (("robot", name), ("units", units)):
-                    if value is None:
-                        diags.append(_err(lineno, col, f"joint before '{header}' header", f"missing-{header}-header"))
-            joints.append(_parse_joint_line(tokens, lineno, col, diags))
+            first_joint = first_joint or (lineno, col)
+            joint = _parse_joint_line(tokens, lineno, col, diags)
+            if joint is not None:
+                joints.append(joint)
 
         else:
             diags.append(_err(lineno, col, f"unknown directive {word!r}", "unknown-directive"))
 
-    if not joints:
-        for header, value in (("robot", name), ("units", units)):
-            if value is None:
-                diags.append(_err(1, 1, f"missing '{header}' header", f"missing-{header}-header"))
+    # the headers must come before the first joint line, if there is one
+    for header in ("robot", "units"):
+        if first_joint is None and header not in header_lines:
+            diags.append(_err(1, 1, f"missing '{header}' header", f"missing-{header}-header"))
+        elif first_joint is not None and header_lines.get(header, math.inf) > first_joint[0]:
+            diags.append(_err(*first_joint, f"joint before '{header}' header", f"missing-{header}-header"))
 
-    joints = [j for j in joints if j is not None]
     if not joints:
         diags.append(_err(1, 1, "file declares no joints", "no-joints"))
     _check_indices(joints, diags)
 
-    if not any(d.severity == ERROR for d in diags):
-        if all(j.values.get("fixed") is not None for j in joints):
-            first = joints[0]
-            diags.append(_err(first.line, first.column,
-                              "every joint is fixed; at least one degree of freedom is required",
-                              "all-joints-fixed"))
-
-    if any(d.severity == ERROR for d in diags):
-        return None, sorted(diags, key=lambda d: (d.line, d.column, d.code))
-
-    factor = UNIT_FACTORS[units]
-    joints.sort(key=lambda j: j.index)
-    rows = []
-    for j in joints:
-        v = j.values
-        lo, hi, fixed = v["min"], v["max"], v.get("fixed")
-        if j.kind == PRISMATIC:
-            lo, hi = lo * factor, hi * factor
-            if fixed is not None:
-                fixed *= factor
-        if not math.isfinite(hi - lo):
-            diags.append(_err(j.line, j.cols["min"],
-                              f"joint {j.index}: max - min overflows a float", "range-overflow"))
-        rows.append(DHRow(
-            kind=j.kind,
-            a=v["a"] * factor,
-            alpha=v["alpha"],
-            d=v["d"] * factor,
-            theta_offset=v["offset"],
-            limits=(lo, hi),
-            fixed=fixed,
-        ))
-    model = RobotModel(name=name, rows=tuple(rows))
-    # report the joint at which reach_bound's running sum first overflows
-    j = next((j for j, total in zip(joints, _reach_sums(rows)) if not math.isfinite(total)), None)
-    if j is not None:
-        diags.append(_err(j.line, j.column, f"joint {j.index}: the sum of link lengths "
-                          "overflows a float", "range-overflow"))
-    if any(d.severity == ERROR for d in diags):
-        model = None
+    model = None
+    error_free = not any(d.severity == ERROR for d in diags)
+    if error_free and all("fixed" in values for *_, values, _ in joints):
+        _, line, column, *_ = joints[0]
+        diags.append(_err(line, column,
+                          "every joint is fixed; at least one degree of freedom is required",
+                          "all-joints-fixed"))
+    elif error_free:
+        factor = UNIT_FACTORS[units]
+        joints.sort(key=lambda j: j[0])
+        rows = []
+        for index, line, _, kind, v, cols in joints:
+            lo, hi, fixed = v["min"], v["max"], v.get("fixed")
+            if kind == PRISMATIC:
+                lo, hi = lo * factor, hi * factor
+                if fixed is not None:
+                    fixed *= factor
+            if not math.isfinite(hi - lo):
+                diags.append(_err(line, cols["min"],
+                                  f"joint {index}: max - min overflows a float", "range-overflow"))
+            rows.append(DHRow(
+                kind=kind,
+                a=v["a"] * factor,
+                alpha=v["alpha"],
+                d=v["d"] * factor,
+                theta_offset=v["offset"],
+                limits=(lo, hi),
+                fixed=fixed,
+            ))
+        # report the joint at which reach_bound's running sum first overflows
+        j = next((j for j, total in zip(joints, _reach_sums(rows)) if not math.isfinite(total)), None)
+        if j is not None:
+            index, line, column, *_ = j
+            diags.append(_err(line, column, f"joint {index}: the sum of link lengths "
+                              "overflows a float", "range-overflow"))
+        if not any(d.severity == ERROR for d in diags):
+            model = RobotModel(name=name, rows=tuple(rows))
     return model, sorted(diags, key=lambda d: (d.line, d.column, d.code))
 
 
 def _parse_joint_line(tokens, lineno, col, diags):
-    """Parse one `joint ...` line; appends diagnostics, returns a _JointLine
-    record (or None when even the index is unusable)."""
+    """Parse one `joint ...` line; appends diagnostics, returns the raw
+    fields before unit conversion as (index, line, column of the index,
+    kind, values, columns), where values and columns map a field name to
+    its float and to the 1-based column of its token. Returns None when even
+    the index is unusable."""
     if len(tokens) < 2 or not re.fullmatch(r"\d+", tokens[1][0]) or int(tokens[1][0]) < 1:
         at = tokens[1][1] if len(tokens) > 1 else col
         diags.append(_err(lineno, at, "expected a positive integer joint index", "bad-joint-index"))
         return None
-    rec = _JointLine(int(tokens[1][0]), lineno, tokens[1][1])
+    index, column = int(tokens[1][0]), tokens[1][1]
+    kind = None
+    v = {}
+    cols = {}
 
     for tok, tcol in tokens[2:]:
         key, eq, raw = tok.partition("=")
@@ -238,13 +219,13 @@ def _parse_joint_line(tokens, lineno, col, diags):
         if syntax is None:
             diags.append(_err(lineno, tcol, f"unknown field {key!r}", "unknown-field"))
             continue
-        if key in rec.cols:
+        if key in cols:
             diags.append(_err(lineno, tcol, f"duplicate field {key!r}", "duplicate-field"))
             continue
-        rec.cols[key] = tcol
+        cols[key] = tcol
         if syntax == "kind":
             if raw in JOINT_KINDS:
-                rec.kind = raw
+                kind = raw
             else:
                 diags.append(_err(lineno, tcol, f"joint type must be revolute or prismatic, got {raw!r}", "bad-kind"))
         else:
@@ -254,40 +235,38 @@ def _parse_joint_line(tokens, lineno, col, diags):
                 what = "number or pi fraction" if syntax == "angle" else "number"
                 diags.append(_err(lineno, tcol, f"{key}: expected a finite {what}, got {raw!r}", code))
             else:
-                rec.values[key] = value
+                v[key] = value
 
     for key in _REQUIRED_FIELDS:
-        if key not in rec.cols:
-            diags.append(_err(lineno, rec.column, f"joint {rec.index}: missing field {key!r}", "missing-field"))
+        if key not in cols:
+            diags.append(_err(lineno, column, f"joint {index}: missing field {key!r}", "missing-field"))
 
-    v = rec.values
     if "min" in v and "max" in v:
         if v["min"] > v["max"]:
-            diags.append(_err(lineno, rec.cols["min"],
+            diags.append(_err(lineno, cols["min"],
                               f"min {v['min']!r} > max {v['max']!r}", "limits-inverted"))
         else:
             if "fixed" in v and not v["min"] <= v["fixed"] <= v["max"]:
-                diags.append(_err(lineno, rec.cols["fixed"],
+                diags.append(_err(lineno, cols["fixed"],
                                   f"fixed value {v['fixed']!r} outside limits", "fixed-out-of-range"))
             if v["min"] == v["max"]:
-                diags.append(_warn(lineno, rec.cols["min"],
-                                   f"joint {rec.index}: min == max, joint cannot move", "zero-span-limits"))
+                diags.append(Diagnostic(WARNING, lineno, cols["min"],
+                                        f"joint {index}: min == max, joint cannot move", "zero-span-limits"))
 
-    return rec
+    return index, lineno, column, kind, v, cols
 
 
 def _check_indices(joints, diags):
     seen = {}
-    for j in joints:
-        if j.index in seen:
-            diags.append(_err(j.line, j.column, f"duplicate joint index {j.index}", "duplicate-joint-index"))
+    for index, line, column, *_ in joints:
+        if index in seen:
+            diags.append(_err(line, column, f"duplicate joint index {index}", "duplicate-joint-index"))
         else:
-            seen[j.index] = j
-    expected = range(1, len(seen) + 1)
-    if sorted(seen) != list(expected):
-        # n distinct indices not equal to 1..n means at least one lies outside
-        j = next(seen[i] for i in sorted(seen) if i not in expected)
-        diags.append(_err(j.line, j.column,
+            seen[index] = (line, column)
+    # n distinct indices, each at least 1, are 1..n unless one exceeds n
+    over = [i for i in seen if i > len(seen)]
+    if over:
+        diags.append(_err(*seen[min(over)],
                           f"joint indices must be contiguous 1..{len(seen)}, got {sorted(seen)}",
                           "noncontiguous-indices"))
 

@@ -16,7 +16,8 @@ decimal with optional sign and exponent; <angle> additionally accepts
 the declared unit and converted to meters at load; for prismatic joints
 the limits and fixed value are lengths, so they convert too. Every
 joint's max - min, and the sum of link lengths that bounds the reach, must
-be finite floats once converted.
+be finite floats once converted, and so must offset + min and offset + max
+of a revolute joint, which bound its angle.
 
 Parsing never raises on bad input: it reports Diagnostics with stable
 codes and 1-based line/column positions, and returns a model only when
@@ -172,6 +173,10 @@ def parse_robot(source: str):
                 lo, hi = lo * factor, hi * factor
                 if fixed is not None:
                     fixed *= factor
+            elif not (math.isfinite(v["offset"] + lo) and math.isfinite(v["offset"] + hi)):
+                # offset + q is the angle of a revolute joint, for every q in its limits
+                diags.append(_err(line, cols["offset"], f"joint {index}: offset + min or offset + max "
+                                  "overflows a float", "range-overflow"))
             if not math.isfinite(hi - lo):
                 diags.append(_err(line, cols["min"],
                                   f"joint {index}: max - min overflows a float", "range-overflow"))

@@ -64,33 +64,47 @@ def test_validate_semantic_error_exits_3(tmp_path, capsys):
     assert "[limits-inverted]" in err
 
 
-#: files whose numbers are finite but whose max - min, or whose summed link
-#: lengths, overflow a float
+#: files whose numbers are finite but whose max - min, summed link lengths,
+#: or revolute offset + min or offset + max overflow a float, each with an
+#: `fk --q` within its limits
 OVERFLOWING = {
-    "span": GOOD.replace("min=-1 max=1", "min=-1e308 max=1e308"),
-    "lengths": 'robot "T"\nunits m\n'
-               "joint 1 type=revolute a=1e308 alpha=0 d=0 offset=0 min=-1 max=1\n"
-               "joint 2 type=revolute a=1e308 alpha=0 d=0 offset=0 min=-1 max=1\n",
+    "span": (GOOD.replace("min=-1 max=1", "min=-1e308 max=1e308"), "0"),
+    "lengths": ('robot "T"\nunits m\n'
+                "joint 1 type=revolute a=1e308 alpha=0 d=0 offset=0 min=-1 max=1\n"
+                "joint 2 type=revolute a=1e308 alpha=0 d=0 offset=0 min=-1 max=1\n", "0,0"),
+    "offset": ('robot "T"\nunits m\n'
+               "joint 1 type=revolute a=1 alpha=0 d=0 offset=1e308 min=0 max=1e308\n", "1e308"),
+    "fixed-offset": ('robot "T"\nunits m\n'
+                     "joint 1 type=revolute a=0 alpha=0 d=0 offset=-1e308 min=-1e308 max=-1e308 fixed=-1e308\n"
+                     "joint 2 type=revolute a=1 alpha=0 d=0 offset=0 min=-1 max=1\n", "0"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OVERFLOWING))
 @pytest.mark.parametrize("command", [
     ["validate"],
-    ["fk", "--q", "0,0"],
+    ["fk", "--q"],
     ["workspace", "--samples", "100", "--out"],
     ["project", "--samples", "100", "--plane", "xy", "--out"],
     ["volume", "--samples", "100"],
 ], ids=lambda command: command[0])
 def test_overflowing_ranges_exit_3(tmp_path, capsys, case, command):
+    source, q = OVERFLOWING[case]
     path = tmp_path / "t.robot"
-    path.write_text(OVERFLOWING[case])
+    path.write_text(source)
     argv = [command[0], str(path), *command[1:]]
     if argv[-1] == "--out":
         argv.append(str(tmp_path / "out.csv"))
+    if argv[-1] == "--q":
+        argv.append(q)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
-    assert len([line for line in err.splitlines() if "[range-overflow]" in line]) == 1
+    lines = err.splitlines()
+    assert len([line for line in lines if "[range-overflow]" in line]) == 1
+    # the diagnostics, then one error line from every command but validate
+    errors = [line for line in lines if line.startswith("error:")]
+    assert errors == ([] if command[0] == "validate" else [lines[-1]])
+    assert all(line.startswith(f"{path}:") for line in lines if line not in errors)
     assert [p.name for p in tmp_path.iterdir()] == ["t.robot"]
 
 

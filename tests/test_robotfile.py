@@ -243,6 +243,20 @@ def test_reach_overflow_is_found_in_one_pass(monkeypatch):
     assert len(reads) <= 3 * k
 
 
+def test_revolute_offset_plus_limits_must_be_finite():
+    # offset + q is a revolute joint's angle for every q within its limits
+    src = H + "joint 1 type=revolute a=0 alpha=0 d=0 offset=1e308 min=0 max=1e308\n"
+    model, diags = parse_robot(src)
+    assert model is None
+    assert [str(d) for d in diags] == [
+        "3:39: error: joint 1: offset + min or offset + max overflows a float [range-overflow]"]
+    model, diags = parse_robot(src.replace("min=0 max=1e308", "min=-1e308 max=0"))
+    assert model is not None and diags == []
+    # a prismatic joint's variable adds to d, not to its offset
+    model, diags = parse_robot(src.replace("revolute", "prismatic"))
+    assert model is not None and diags == []
+
+
 def test_parser_survives_small_fuzz():
     rng = np.random.default_rng(0)
     alphabet = 'robot units joint type=revolute "x" pi/2 -pi 1.5e3 # \n\t=minmax'

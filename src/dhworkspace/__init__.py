@@ -33,6 +33,7 @@ from .workspace import (
     voxelize,
 )
 
+#: the one place the version is set; pyproject.toml reads it from here
 __version__ = "0.1.0"
 
 __all__ = [

@@ -26,7 +26,8 @@ once the positions only, each in a new process that has only drawn the
 samples, so no earlier stage has grown the heap it allocates from;
 `generate_cloud` runs its blocks on every CPU in the affinity mask.
 `voxelize` and `summarize` get a new cloud each time, so they compute its
-cached bounds, as the CLI does.
+cached bounds, as the CLI does. `parse_robot` is timed alone, best of
+REPEATS, on the text of each fixture and of a 1,000-joint file.
 
 Size: the line count of each module of the package and their total (as
 `wc -l` counts them), and the number of names in `dhworkspace.__all__`.
@@ -163,6 +164,17 @@ def in_process() -> dict:
     return out
 
 
+def parse_rows() -> dict:
+    """Best time of parse_robot on each fixture's text and on a 1,000-joint file."""
+    sys.path.insert(0, str(SRC))
+    from dhworkspace import fixture_names, fixture_source, parse_robot
+
+    joint = "joint {} type=revolute a=0.1 alpha=pi/2 d=0.05 offset=0 min=-pi max=pi\n"
+    sources = {name: fixture_source(name) for name in fixture_names()}
+    sources["joints_1000"] = 'robot "chain"\nunits m\n' + "".join(joint.format(i) for i in range(1, 1001))
+    return {name: _best(lambda _: parse_robot(source)) for name, source in sources.items()}
+
+
 def source_lines() -> dict:
     """Lines per module of src/dhworkspace, and their total."""
     lines = {path.name: path.read_bytes().count(b"\n") for path in sorted((SRC / "dhworkspace").glob("*.py"))}
@@ -190,6 +202,7 @@ def main() -> None:
         "voxel_resolution": RESOLUTION,
         "in_process_best_of": REPEATS,
         "in_process_s": stages,
+        "parse_robot_s": parse_rows(),
         "whole_process": walls,
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "source_lines": source_lines(),

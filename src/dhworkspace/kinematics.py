@@ -137,12 +137,12 @@ def fk_batch(model: RobotModel, configs: np.ndarray, *, pose: bool = True) -> np
 
     Terms that a row's own constants make exactly zero are skipped: a*x
     when a == 0, d*c2 when d is a scalar 0, the rotation by alpha when
-    alpha == 0. With pose=False the last row moves only p, and needs no
-    cos or sin when its a == 0, since Rz leaves c2 as it is. A skipped term
-    is +-0, which changes no non-zero sum, and p starts at +0 and never
-    becomes -0; so for finite configurations the positions are the same
-    bits as without the skips, and the 4x4's rotation can differ only in
-    the sign of an exact zero.
+    alpha == 0. With pose=False a row updates c0 and c1, and c2, only where
+    a later row reads them, and takes no cos or sin when nothing reads its x
+    or y. A skipped term is +-0, which changes no non-zero sum, and p starts
+    at +0 and never becomes -0; so for finite configurations the positions
+    are the same bits as without the skips, and the 4x4's rotation can
+    differ only in the sign of an exact zero.
     """
     import numpy as np
     Q = np.asarray(configs, dtype=np.float64)
@@ -156,9 +156,12 @@ def fk_batch(model: RobotModel, configs: np.ndarray, *, pose: bool = True) -> np
     c0, c1, c2, x, y, t = work[:6]
     varying, cosine, sine = work[6]
     p = np.zeros((3, n))
+    reads, later = [], (pose, pose)  # per row: does a later row read c0 and c1 (read together), c2?
+    for row in reversed(model.rows):
+        reads.append(later)
+        later = row.a != 0 or any(later), row.d != 0 or row.kind == PRISMATIC or any(later)
     col = 0
-    last = len(model.rows) - 1
-    for i, row in enumerate(model.rows):
+    for row, (read01, read2) in zip(model.rows, reversed(reads)):
         revolute = row.kind == REVOLUTE
         base = row.theta_offset if revolute else row.d
         if row.fixed is None:
@@ -169,11 +172,11 @@ def fk_batch(model: RobotModel, configs: np.ndarray, *, pose: bool = True) -> np
         theta, d = (value, row.d) if revolute else (row.theta_offset, value)
         a_term = row.a != 0
         d_term = np.ndim(d) or d != 0  # a prismatic row's d is an array
-        end = i == last and not pose  # only p is read after this row
-        if a_term or not end:
+        if a_term or read01 or read2:
             vector = np.ndim(theta)
             ct = np.cos(theta, out=cosine if vector else None)
             st = np.sin(theta, out=sine if vector else None)
+        if a_term or read01:
             np.multiply(c0, ct, out=x)
             x += np.multiply(c1, st, out=y)  # y is free until it is computed below
         if a_term:
@@ -183,7 +186,7 @@ def fk_batch(model: RobotModel, configs: np.ndarray, *, pose: bool = True) -> np
             p += step
         elif d_term:
             p += np.multiply(c2, d, out=t)
-        if end:
+        if not (read01 or read2):  # only p is read after this row
             break
         np.multiply(c1, ct, out=y)
         y -= np.multiply(c0, st, out=t)
@@ -191,10 +194,12 @@ def fk_batch(model: RobotModel, configs: np.ndarray, *, pose: bool = True) -> np
             c0, c1, x, y = x, y, c0, c1
         else:  # the new c1 and c2 go to the slabs of the old c0 and c1
             ca, sa = math.cos(row.alpha), math.sin(row.alpha)
-            np.multiply(y, ca, out=c0)
-            c0 += np.multiply(c2, sa, out=t)
-            np.multiply(c2, ca, out=c1)
-            c1 -= np.multiply(y, sa, out=t)
+            if read01:
+                np.multiply(y, ca, out=c0)
+                c0 += np.multiply(c2, sa, out=t)
+            if read2:
+                np.multiply(c2, ca, out=c1)
+                c1 -= np.multiply(y, sa, out=t)
             c0, c1, c2, x = x, c0, c1, c2
     if not pose:
         return p.T

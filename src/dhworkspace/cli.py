@@ -347,6 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:  # no BLAS call here: keep OpenBLAS's idle threads off the sampler's CPUs
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = None
     try:

@@ -43,8 +43,8 @@ class SampleSpec:
 class PointCloud:
     """End-effector positions in sample order, with their provenance.
 
-    A cloud holds at least one point. It keeps its own read-only copy of
-    the points, so their cached per-axis bounds always hold.
+    A cloud holds at least one point, read-only. It copies any array a caller
+    could still write to, so the cached bounds of its points always hold.
     """
 
     points: np.ndarray  # (k, 3) float64, meters
@@ -53,17 +53,29 @@ class PointCloud:
 
     def __post_init__(self):
         import numpy as np
-        object.__setattr__(self, "points", np.array(self.points, dtype=np.float64, order="C"))
+        points = self.points  # generate_cloud hands over a read-only array that owns its data
+        kept = isinstance(points, np.ndarray) and points.flags.owndata and not points.flags.writeable
+        object.__setattr__(self, "points", (np.asarray if kept else np.array)(points, np.float64, order="C"))
         if self.points.shape[1:] != (3,) or self.points.size == 0:
             raise ValueError(f"points shape {self.points.shape} is not (k, 3) with k >= 1")
         self.points.flags.writeable = False
 
-    @functools.cached_property
-    def _bounds(self) -> tuple:
-        """(per-axis minima, per-axis maxima), computed once for the voxel box
-        and the bounding box; column passes beat (n, 3) rows."""
-        columns = self.points.T
-        return tuple(float(c.min()) for c in columns), tuple(float(c.max()) for c in columns)
+    #: _extremes of the points, computed once for the voxel box, the bounding box and the reach
+    _bounds = functools.cached_property(lambda self: _extremes(self.points.T))
+
+
+def _extremes(columns) -> tuple:
+    """(per-axis minima, per-axis maxima, largest (x*x + y*y) + z*z) of the
+    points with columns x, y, z; column passes beat (n, 3) rows. The sum is
+    in the order of np.linalg.norm(points, axis=1), and sqrt is monotone and
+    correctly rounded: the root of the largest is the largest norm's bits."""
+    import numpy as np
+    x, y, z = columns
+    with np.errstate(over="ignore", invalid="ignore"):  # voxelize refuses such a cloud by name
+        r2 = x * x
+        r2 += y * y
+        r2 += z * z
+    return tuple(float(c.min()) for c in columns), tuple(float(c.max()) for c in columns), float(r2.max())
 
 
 @dataclass(frozen=True)
@@ -113,50 +125,64 @@ _BLOCK = 16384
 def generate_cloud(model: RobotModel, spec: SampleSpec) -> PointCloud:
     """Sample the joint space and evaluate FK; points in sample order.
 
-    Blocks of _BLOCK samples are drawn and evaluated one at a time, so no
-    (n, m) or (n, 4, 4) array exists, on up to one thread per CPU. Each
-    block writes only its own rows and every operation is elementwise, so
-    the bytes do not depend on the thread count. An exception in any block
-    is raised here after every thread has ended.
+    _each_block draws and evaluates blocks of _BLOCK samples, so no (n, m)
+    or (n, 4, 4) array exists. Each block writes only its own rows and every
+    operation is elementwise, so the bytes do not depend on the thread count.
+    A block's _extremes, taken while it is in cache, seed the cloud's.
     """
     import numpy as np
     n = spec.n
     if n > np.iinfo(np.intp).max // 24:  # more bytes than an array can index
         raise MemoryError(f"cannot allocate {n} points")
     points = np.empty((n, 3))
+    parts = [None] * -(-n // _BLOCK)
+
+    def fill(start: int, stop: int) -> None:
+        columns = fk_batch(model, joint_samples(model, spec, start, stop), pose=False).T
+        points[start:stop] = columns.T
+        parts[start // _BLOCK] = _extremes(columns)
+
+    _each_block(n, fill)
+    points.flags.writeable = False
+    cloud = PointCloud(points=points, robot=model.name, seed=spec.seed)
+    lows, highs, r2 = (np.array(values) for values in zip(*parts))
+    vars(cloud)["_bounds"] = (tuple(lows.min(axis=0).tolist()), tuple(highs.max(axis=0).tolist()),
+                              float(r2.max()))
+    return cloud
+
+
+def _each_block(n: int, fn) -> None:
+    """fn(start, stop) for each block of _BLOCK rows of 0..n, on up to one
+    thread per CPU. The caller is worker 0, so one block starts no thread, and
+    runs the share of a thread that cannot start. The first exception of any
+    block is raised here after every thread has ended."""
     starts = range(0, n, _BLOCK)
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1  # no mask on macOS
     workers = min(cpus, len(starts))
     failures = []
 
-    def fill(first: int) -> None:
+    def run(first: int) -> None:
         try:
             for start in starts[first::workers]:
                 if failures:  # another worker failed: the call is over
                     return
-                stop = min(start + _BLOCK, n)
-                points[start:stop] = fk_batch(model, joint_samples(model, spec, start, stop), pose=False)
+                fn(start, min(start + _BLOCK, n))
         except BaseException as exc:  # raised again by the caller after the joins
             failures.append(exc)
 
-    threads, mine = [], [0]  # the caller's thread is worker 0
+    threads = []
     for i in range(1, workers):
-        thread = threading.Thread(target=fill, args=(i,))
+        thread = threading.Thread(target=run, args=(i,))
         try:
             thread.start()
             threads.append(thread)
         except RuntimeError:  # the process may start no more threads: run this share here
-            mine.append(i)
-    for i in mine:
-        fill(i)
+            run(i)
+    run(0)  # the caller's thread is worker 0
     for thread in threads:
         thread.join()
     if failures:
         raise failures[0]
-    return PointCloud(points=points, robot=model.name, seed=spec.seed)
 
 
 def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
@@ -173,7 +199,7 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
     if not (resolution > 0 and math.isfinite(resolution)):
         raise ValueError(f"voxel resolution must be a positive finite number, got {resolution}")
     points = cloud.points
-    bounds = cloud._bounds  # min and max propagate nan, so these catch every bad point
+    bounds = cloud._bounds[:2]  # min and max propagate nan, so these catch every bad point
     if not all(map(math.isfinite, bounds[0] + bounds[1])):
         raise ValueError("the cloud holds a point that is not finite")
     extent = max(abs(v) for side in bounds for v in side)
@@ -196,14 +222,19 @@ def voxelize(cloud: PointCloud, resolution: float) -> VoxelGrid:
     if span[0] * span[1] * span[2] > _INDEX_LIMIT:
         raise ValueError(f"voxel resolution {resolution} is too fine for this cloud: "
                          "its box holds more than 2**62 voxels")
-    # voxel (i, j, k) packs to ((i - lo0) * span1 + (j - lo1)) * span2 + (k - lo2)
+    # voxel (i, j, k) packs to ((i - lo0) * span1 + (j - lo1)) * span2 + (k - lo2),
+    # a block at a time by _each_block; only the sort is one pass
     keys = np.zeros(points.shape[0], dtype=np.int64)
-    index = np.empty_like(keys)
-    for column, axis_lo, axis_span in zip(points.T, lo, span):
-        np.floor(column / resolution, out=index, casting="unsafe")
-        index -= axis_lo  # before accumulating, so no sum leaves int64 range
-        keys *= axis_span
-        keys += index
+
+    def pack(start: int, stop: int) -> None:
+        block, index = keys[start:stop], np.empty(stop - start, dtype=np.int64)
+        for column, axis_lo, axis_span in zip(points[start:stop].T, lo, span):
+            np.floor(column / resolution, out=index, casting="unsafe")
+            index -= axis_lo  # before accumulating, so no sum leaves int64 range
+            block *= axis_span
+            block += index
+
+    _each_block(len(points), pack)
     keys.sort()
     return VoxelGrid(1 + int(np.count_nonzero(keys[1:] != keys[:-1])))
 
@@ -230,14 +261,7 @@ def summarize(cloud: PointCloud, resolution: float) -> dict:
                          "the voxel volume overflows") from None
     if not math.isfinite(volume):
         raise ValueError(f"voxel resolution {resolution} is too coarse: the volume {volume} is not finite")
-    x, y, z = cloud.points.T
-    # (x*x + y*y) + z*z is the sum order of np.linalg.norm(points, axis=1),
-    # and sqrt is monotone and correctly rounded: the same bits as its
-    # largest value, without a square root per point
-    r2 = x * x
-    r2 += y * y
-    r2 += z * z
-    bbox_min, bbox_max = cloud._bounds
+    bbox_min, bbox_max, max_r2 = cloud._bounds
     return {
         "robot": cloud.robot,
         "n": len(cloud.points),
@@ -245,7 +269,7 @@ def summarize(cloud: PointCloud, resolution: float) -> dict:
         "voxel_resolution": resolution,
         "occupied_count": grid.occupied_count,
         "volume_m3": volume,
-        "max_reach_m": math.sqrt(float(r2.max())),
+        "max_reach_m": math.sqrt(max_r2),
         "bbox_min": list(bbox_min),
         "bbox_max": list(bbox_max),
     }

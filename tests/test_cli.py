@@ -557,6 +557,29 @@ def _numpy_loaded_after(code, *args):
     return child.stdout.splitlines()[-1] == "True"
 
 
+def test_the_cli_asks_openblas_for_one_thread_unless_told_otherwise():
+    # the package makes no BLAS call, so an idle OpenBLAS thread would only
+    # spin beside the sampler's; a user's value wins, and a process that
+    # imported numpy before main keeps the setting it loaded numpy with
+    code = ("import os, sys\n"
+            "if sys.argv[1:]: import numpy\n"
+            "from dhworkspace.cli import main\n"
+            "assert main(['fk', 'builtin:wam', '--q', '0,0,0,0,0,0']) == 0\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_PARENT), env.get("PYTHONPATH")]))
+
+    def seen(extra, *args):
+        child = subprocess.run([sys.executable, "-c", code, *args], env={**env, **extra},
+                               capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        return child.stdout.splitlines()[-1]
+
+    assert seen({}) == "1"
+    assert seen({"OPENBLAS_NUM_THREADS": "3"}) == "3"
+    assert seen({}, "numpy first") == "None"
+
+
 def test_parsing_and_validate_do_not_import_numpy(tmp_path):
     path = tmp_path / "wam.robot"
     path.write_text(dhworkspace.fixture_source("wam"), encoding="utf-8")

@@ -204,5 +204,11 @@ def test_any_block_size_gives_the_single_pass_cloud(model, block, workers, seed,
     single_pass = fk_batch(model, joint_samples(model, spec))[:, :3, 3]
     with mock.patch.object(workspace, "_BLOCK", block), \
             mock.patch.object(os, "sched_getaffinity", return_value=set(range(workers)), create=True):
-        points = generate_cloud(model, spec).points
-    assert points.tobytes() == single_pass.tobytes()
+        cloud = generate_cloud(model, spec)
+        # voxelize packs its keys in blocks of the same size, on as many workers
+        summary = summarize(cloud, 0.25)
+    assert cloud.points.tobytes() == single_pass.tobytes()
+    # the bounds and reach that the blocks seed are those a copy of the
+    # points computes in one pass, and the keys give the single-pass count
+    assert repr(summary) == repr(summarize(PointCloud(np.array(cloud.points), cloud.robot, cloud.seed), 0.25))
+    assert summary["occupied_count"] == len(set(map(tuple, np.floor(single_pass / 0.25).tolist())))

@@ -296,6 +296,19 @@ def test_cloud_points_are_read_only():
         cloud.points[0, 0] = 99.0
 
 
+def test_the_sampler_hands_its_array_over_and_other_arrays_are_copied():
+    points = generate_cloud(builtin_fixture("wam"), SampleSpec(n=10, seed=0)).points
+    assert not points.flags.writeable and points.flags.owndata
+    # no caller can write to a read-only array that owns its data: kept as it is
+    assert cloud_of(points).points is points
+    # a writeable array, and a read-only view of one, are copied
+    source = np.zeros((2, 3))
+    view = source.view()
+    view.flags.writeable = False
+    for given in (source, view):
+        assert not np.shares_memory(cloud_of(given).points, source)
+
+
 def test_point_cloud_shape_is_checked():
     for shape in ((3,), (3, 2), (3, 3, 1), (0, 3)):
         with pytest.raises(ValueError):

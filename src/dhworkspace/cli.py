@@ -72,17 +72,16 @@ _positive_float = _flag_type(float, lambda v: v > 0 and math.isfinite(v), "a fin
 
 def _read_source(source_arg: str) -> str:
     """Description text for a path or builtin:<name> argument."""
-    if source_arg.startswith("builtin:"):
-        try:
-            return fixture_source(source_arg[len("builtin:"):])
-        except ValueError as exc:
-            raise _Failure(EXIT_USAGE, str(exc)) from None
     try:
+        if source_arg.startswith("builtin:"):
+            return fixture_source(source_arg[len("builtin:"):])
         with open(source_arg, encoding="utf-8-sig") as handle:  # drops a leading BOM
             return handle.read()
     except UnicodeDecodeError:
         raise _Failure(EXIT_PARSE, f"{source_arg}: not valid UTF-8 text") from None
-    except OSError as exc:
+    except ValueError as exc:  # an unknown fixture name
+        raise _Failure(EXIT_USAGE, str(exc)) from None
+    except OSError as exc:  # a packaged fixture's file may be missing too
         raise _Failure(EXIT_IO, f"cannot read {source_arg}: {exc.strerror or exc}") from None
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import sysconfig
@@ -329,6 +330,19 @@ def test_missing_file_exits_5(capsys):
     code, _, err = run(capsys, "validate", "no/such/file.robot")
     assert code == 5
     assert "cannot read" in err
+
+
+def test_missing_packaged_fixture_exits_5(tmp_path):
+    # a copy of the package whose smokie fixture file is gone
+    shutil.copytree(PACKAGE_PARENT / "dhworkspace", tmp_path / "dhworkspace",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "dhworkspace" / "fixtures" / "smokie.robot").unlink()
+    child = subprocess.run([sys.executable, "-m", "dhworkspace.cli", "validate", "builtin:smokie"],
+                           env={**os.environ, "PYTHONPATH": str(tmp_path)}, cwd=tmp_path,
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 5
+    assert child.stderr.startswith("error: cannot read builtin:smokie: ")
+    assert len(child.stderr.splitlines()) == 1
 
 
 def test_unwritable_output_exits_5(tmp_path, capsys):

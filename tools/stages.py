@@ -13,7 +13,9 @@ package and parses smokie, and `validate builtin:wam`), RUNS times each,
 alternating. Wall time is taken from spawn to reap, and the child's own peak
 RSS and minor page faults from `os.wait4`. A child inherits its parent's RSS
 high-water mark through fork and exec, so these run first, before this
-process imports numpy. The faults count the pages the child touched for the
+process imports numpy: the `volume` row's peak RSS is the CLI's own. The
+children inherit this process's environment; the record keeps the value of
+`OPENBLAS_NUM_THREADS` it saw (the CLI sets it to 1 where it is unset). The faults count the pages the child touched for the
 first time, heap pages that the allocator gave back and took again included:
 a cost the warm in-process calls below hide. Where PYTHONDONTWRITEBYTECODE
 is set, no bytecode cache is written and every child compiles the package
@@ -26,7 +28,9 @@ once the positions only, each in a new process that has only drawn the
 samples, so no earlier stage has grown the heap it allocates from;
 `generate_cloud` runs its blocks on every CPU in the affinity mask.
 `voxelize` and `summarize` get a new cloud each time, so they compute its
-cached bounds, as the CLI does. `parse_robot` is timed alone, best of
+cached bounds. `volume_tail` is what the CLI runs after sampling: `summarize`
+of a new `generate_cloud` cloud, whose blocks have seeded its bounds, and of
+a `PointCloud` of a copy of its points, which computes them. `parse_robot` is timed alone, best of
 REPEATS, on the text of each fixture and of a 1,000-joint file.
 
 Size: the line count of each module of the package and their total (as
@@ -143,6 +147,7 @@ def kernel_rows() -> dict:
 
 def in_process() -> dict:
     sys.path.insert(0, str(SRC))
+    import numpy as np
     from dhworkspace import (PointCloud, SampleSpec, builtin_fixture, cli, generate_cloud, joint_samples,
                              summarize, voxelize)
 
@@ -154,11 +159,19 @@ def in_process() -> dict:
         def cloud():
             return PointCloud(points=points, robot=model.name, seed=SEED)
 
+        def copied():
+            return PointCloud(points=np.array(points), robot=model.name, seed=SEED)
+
+        def tail(c):
+            return summarize(c, RESOLUTION)
+
         out[f"{robot}_{n}"] = {
             "joint_samples": _best(lambda _: joint_samples(model, spec)),
             "generate_cloud": _best(lambda _: generate_cloud(model, spec)),
             "voxelize": _best(lambda c: voxelize(c, RESOLUTION), cloud),
-            "summarize": _best(lambda c: summarize(c, RESOLUTION), cloud),
+            "summarize": _best(tail, cloud),
+            "volume_tail": {"generate_cloud": _best(tail, lambda: generate_cloud(model, spec)),
+                            "copy": _best(tail, copied)},
             "csv_text": _best(lambda _: cli._rows_text("x,y,z\n", points, ",")),
         }
     return out
@@ -205,6 +218,7 @@ def main() -> None:
         "parse_robot_s": parse_rows(),
         "whole_process": walls,
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "source_lines": source_lines(),
         "public_names": len(dhworkspace.__all__),
     }

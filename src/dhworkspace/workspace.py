@@ -157,7 +157,7 @@ def _each_block(n: int, fn) -> None:
     runs the share of a thread that cannot start. The first exception of any
     block is raised here after every thread has ended."""
     starts = range(0, n, _BLOCK)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1  # no mask on macOS
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, len(starts))
     failures = []
 

@@ -43,8 +43,8 @@ class SampleSpec:
 class PointCloud:
     """End-effector positions in sample order, with their provenance.
 
-    A cloud holds at least one point, read-only. It copies any array a caller
-    could still write to, so the cached bounds of its points always hold.
+    A cloud holds at least one point, read-only. It copies every array a caller
+    passes, so its cached bounds always hold; generate_cloud hands its own over.
     """
 
     points: np.ndarray  # (k, 3) float64, meters
@@ -53,29 +53,32 @@ class PointCloud:
 
     def __post_init__(self):
         import numpy as np
-        points = self.points  # generate_cloud hands over a read-only array that owns its data
-        kept = isinstance(points, np.ndarray) and points.flags.owndata and not points.flags.writeable
-        object.__setattr__(self, "points", (np.asarray if kept else np.array)(points, np.float64, order="C"))
+        object.__setattr__(self, "points", np.array(self.points, np.float64, order="C"))
         if self.points.shape[1:] != (3,) or self.points.size == 0:
             raise ValueError(f"points shape {self.points.shape} is not (k, 3) with k >= 1")
         self.points.flags.writeable = False
 
     #: _extremes of the points, computed once for the voxel box, the bounding box and the reach
-    _bounds = functools.cached_property(lambda self: _extremes(self.points.T))
+    _bounds = functools.cached_property(lambda self: _extremes(self.points))
 
 
-def _extremes(columns) -> tuple:
+def _extremes(points) -> tuple:
     """(per-axis minima, per-axis maxima, largest (x*x + y*y) + z*z) of the
-    points with columns x, y, z; column passes beat (n, 3) rows. The sum is
-    in the order of np.linalg.norm(points, axis=1), and sqrt is monotone and
-    correctly rounded: the root of the largest is the largest norm's bits."""
+    (n, 3) points, a block at a time on _each_block, each column of a block's
+    contiguous copy alone (strided reductions are slower). With the sum in
+    np.linalg.norm's order, the (monotone, correctly rounded) sqrt of the largest is the largest norm."""
     import numpy as np
-    x, y, z = columns
-    with np.errstate(over="ignore", invalid="ignore"):  # voxelize refuses such a cloud by name
-        r2 = x * x
-        r2 += y * y
-        r2 += z * z
-    return tuple(float(c.min()) for c in columns), tuple(float(c.max()) for c in columns), float(r2.max())
+    parts = np.empty((-(-len(points) // _BLOCK), 7))  # per block: 3 minima, 3 maxima, largest r2
+
+    def take(start: int, stop: int) -> None:
+        x, y, z = columns = np.ascontiguousarray(points[start:stop].T)
+        with np.errstate(over="ignore", invalid="ignore"):  # voxelize refuses such a cloud by name
+            r2 = x * x + y * y + z * z
+        parts[start // _BLOCK] = [c.min() for c in columns] + [c.max() for c in columns] + [r2.max()]
+
+    _each_block(len(points), take)  # min and max propagate nan: a block's nan survives the merge
+    lows, highs = parts[:, :3].min(axis=0), parts[:, 3:6].max(axis=0)
+    return tuple(lows.tolist()), tuple(highs.tolist()), float(parts[:, 6].max())
 
 
 @dataclass(frozen=True)
@@ -128,26 +131,22 @@ def generate_cloud(model: RobotModel, spec: SampleSpec) -> PointCloud:
     _each_block draws and evaluates blocks of _BLOCK samples, so no (n, m)
     or (n, 4, 4) array exists. Each block writes only its own rows and every
     operation is elementwise, so the bytes do not depend on the thread count.
-    A block's _extremes, taken while it is in cache, seed the cloud's.
+    The cloud takes the array over uncopied, and computes its bounds when read.
     """
     import numpy as np
     n = spec.n
     if n > np.iinfo(np.intp).max // 24:  # more bytes than an array can index
         raise MemoryError(f"cannot allocate {n} points")
     points = np.empty((n, 3))
-    parts = [None] * -(-n // _BLOCK)
 
     def fill(start: int, stop: int) -> None:
-        columns = fk_batch(model, joint_samples(model, spec, start, stop), pose=False).T
-        points[start:stop] = columns.T
-        parts[start // _BLOCK] = _extremes(columns)
+        points[start:stop] = fk_batch(model, joint_samples(model, spec, start, stop), pose=False)
 
     _each_block(n, fill)
     points.flags.writeable = False
-    cloud = PointCloud(points=points, robot=model.name, seed=spec.seed)
-    lows, highs, r2 = (np.array(values) for values in zip(*parts))
-    vars(cloud)["_bounds"] = (tuple(lows.min(axis=0).tolist()), tuple(highs.max(axis=0).tolist()),
-                              float(r2.max()))
+    cloud = object.__new__(PointCloud)  # not __post_init__, which would copy the array
+    for field, value in (("points", points), ("robot", model.name), ("seed", spec.seed)):
+        object.__setattr__(cloud, field, value)
     return cloud
 
 

@@ -8,6 +8,7 @@ Timed guarantees assert wall-clock budgets via time.perf_counter.
 
 import json
 import math
+import random
 import time
 
 import numpy as np
@@ -33,7 +34,7 @@ from dhworkspace import (
     voxelize,
 )
 from dhworkspace.cli import main
-from fk_reference import ref_ee, ref_link
+from fk_reference import ref_ee, ref_fk, ref_link, ref_matmul, ref_rot_z, ref_translate
 
 # ----------------------------------------------------------------------------
 # reference implementations (independent of the library internals)
@@ -92,10 +93,11 @@ def test_rotation_blocks_stay_orthonormal_across_fixtures():
 
 def test_zero_config_end_effector_positions():
     """Zero-config EE positions match the independent reference and the
-    frozen literals: WAM (0, 0, 0.91), Smokie (0.766, -0.230, -0.145),
-    all within 1e-12."""
+    frozen literals: WAM (0, 0, 0.91), its code variant (0, 0, 0.9445),
+    Smokie (0.766, -0.230, -0.145), all within 1e-12."""
     cases = {
         "wam": (0.0, 0.0, 0.91),
+        "wam-code-variant": (0.0, 0.0, 0.9445),
         "smokie": (0.766, -0.230, -0.145),
     }
     for name, literal in cases.items():
@@ -105,6 +107,34 @@ def test_zero_config_end_effector_positions():
         want = ref_ee(model, zeros)
         assert np.abs(got - np.array(want)).max() <= 1e-12, name
         assert np.abs(got - np.array(literal)).max() <= 1e-12, name
+
+
+def test_the_two_wam_tables_describe_one_arm():
+    """wam-code-variant at q' is Rz(pi) Tz(0.0345) . wam(q) . Rz(pi), where
+    q' is q with movable joint 5 (file joint 6) negated, within 1e-12 over
+    1000 configurations inside both tables' limits, by the reference FK.
+
+    With each link Rz(theta) Tz(d) Tx(a) Rx(alpha): Rz(pi) commutes with Rz
+    and Tz, and conjugating Tx(a), Rx(alpha) or Ry(phi) by it negates a,
+    alpha or phi. The variant's links 1-4 are the WAM's with a and alpha
+    negated, so each is Rz(pi) A Rz(pi), and its column height d1 = 0.0345
+    is a Tz in front. Links 5 and 6 of both tables make Rz(theta5) Tz(0.3)
+    Ry(theta6), since Rx(-pi/2) Rz(t) Rx(pi/2) = Ry(t), so the Rz(pi) left
+    after link 4 passes them with theta6 negated, and commutes with link 7.
+    The tables differ otherwise only in the limits of joints 2 and 4."""
+    wam, variant = builtin_fixture("wam"), builtin_fixture("wam-code-variant")
+    limits = [(max(a.limits[0], b.limits[0]), min(a.limits[1], b.limits[1]))
+              for a, b in zip(wam.movable_rows, variant.movable_rows)]
+    before = ref_matmul(ref_rot_z(math.pi), ref_translate(0.0, 0.0345))
+    rng = random.Random(6)
+    worst = 0.0
+    for _ in range(1000):
+        q = [rng.uniform(lo, hi) for lo, hi in limits]
+        flipped = q[:4] + [-q[4]] + q[5:]
+        want = ref_matmul(ref_matmul(before, ref_fk(wam, q)), ref_rot_z(math.pi))
+        got = ref_fk(variant, flipped)
+        worst = max(worst, max(abs(g - w) for g_row, w_row in zip(got, want) for g, w in zip(g_row, w_row)))
+    assert worst <= 1e-12
 
 
 def test_wam_cloud_respects_reach_envelope():

@@ -205,10 +205,12 @@ def test_any_block_size_gives_the_single_pass_cloud(model, block, workers, seed,
     with mock.patch.object(workspace, "_BLOCK", block), \
             mock.patch.object(os, "sched_getaffinity", return_value=set(range(workers)), create=True):
         cloud = generate_cloud(model, spec)
-        # voxelize packs its keys in blocks of the same size, on as many workers
+        # the bounds and voxelize's keys are computed in blocks of the same
+        # size, on as many workers
         summary = summarize(cloud, 0.25)
     assert cloud.points.tobytes() == single_pass.tobytes()
-    # the bounds and reach that the blocks seed are those a copy of the
-    # points computes in one pass, and the keys give the single-pass count
+    # the bounds and reach merged from those blocks are those of a copy of
+    # the points summarized outside the patch, in one block, and the keys
+    # give the single-pass count
     assert repr(summary) == repr(summarize(PointCloud(np.array(cloud.points), cloud.robot, cloud.seed), 0.25))
     assert summary["occupied_count"] == len(set(map(tuple, np.floor(single_pass / 0.25).tolist())))

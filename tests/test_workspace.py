@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -299,14 +300,30 @@ def test_cloud_points_are_read_only():
 def test_the_sampler_hands_its_array_over_and_other_arrays_are_copied():
     points = generate_cloud(builtin_fixture("wam"), SampleSpec(n=10, seed=0)).points
     assert not points.flags.writeable and points.flags.owndata
-    # no caller can write to a read-only array that owns its data: kept as it is
-    assert cloud_of(points).points is points
-    # a writeable array, and a read-only view of one, are copied
+    # a caller's array is copied whatever its flags, even a read-only one
+    # that owns its data: its holder can make it writeable again
     source = np.zeros((2, 3))
     view = source.view()
     view.flags.writeable = False
-    for given in (source, view):
-        assert not np.shares_memory(cloud_of(given).points, source)
+    for given in (points, source, view):
+        assert not np.shares_memory(cloud_of(given).points, given)
+
+
+def test_the_sampler_makes_no_second_array_of_its_points():
+    # the cloud takes over the (n, 3) array the blocks fill, 24 bytes a
+    # sample; a copy would double that, while each worker's block scratch is
+    # a few MB whatever n is
+    n = 32 * B + 7
+    with cpus(2):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()  # in case tracing was already on
+            held = tracemalloc.get_traced_memory()[0]
+            generate_cloud(builtin_fixture("wam"), SampleSpec(n=n, seed=3))
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+    assert 24 * n < peak < 2 * 24 * n
 
 
 def test_point_cloud_shape_is_checked():
@@ -318,16 +335,20 @@ def test_point_cloud_shape_is_checked():
 def test_cloud_keeps_its_own_copy_of_the_points():
     # mutating the caller's array after summarize changes neither a second
     # summarize nor voxelize: the cloud's cached bounds stay true, and its
-    # second point keeps a voxel of its own
-    source = np.zeros((2, 3))
-    source[1] = 1.0
-    cloud = PointCloud(points=source, robot="x", seed=0)
-    first = summarize(cloud, 0.02)
-    source[1] = 0.0
-    assert summarize(cloud, 0.02) == first
-    assert first["bbox_max"] == [1.0, 1.0, 1.0]
-    assert voxelize(cloud, 0.02) == VoxelGrid(2)
-    assert not cloud.points.flags.writeable and cloud.points.flags.c_contiguous
+    # second point keeps a voxel of its own. That holds for a read-only
+    # array that owns its data too, which its holder can make writeable
+    for read_only in (False, True):
+        source = np.zeros((2, 3))
+        source[1] = 1.0
+        source.flags.writeable = not read_only
+        cloud = PointCloud(points=source, robot="x", seed=0)
+        first = summarize(cloud, 0.02)
+        source.flags.writeable = True
+        source[1] = 0.0
+        assert summarize(cloud, 0.02) == first
+        assert first["bbox_max"] == [1.0, 1.0, 1.0]
+        assert voxelize(cloud, 0.02) == VoxelGrid(2)
+        assert not cloud.points.flags.writeable and cloud.points.flags.c_contiguous
 
 
 # --- voxelize ------------------------------------------------------------------

@@ -29,9 +29,9 @@ samples, so no earlier stage has grown the heap it allocates from;
 `generate_cloud` runs its blocks on every CPU in the affinity mask.
 `voxelize` and `summarize` get a new cloud each time, so they compute its
 cached bounds. `volume_tail` is what the CLI runs after sampling: `summarize`
-of a new `generate_cloud` cloud, whose blocks have seeded its bounds, and of
-a `PointCloud` of a copy of its points, which computes them. `parse_robot` is timed alone, best of
-REPEATS, on the text of each fixture and of a 1,000-joint file.
+of a new `generate_cloud` cloud, which computes its bounds the same way.
+`parse_robot` is timed alone, best of REPEATS, on the text of each fixture
+and of a 1,000-joint file.
 
 Size: the line count of each module of the package and their total (as
 `wc -l` counts them), and the number of names in `dhworkspace.__all__`.
@@ -147,7 +147,6 @@ def kernel_rows() -> dict:
 
 def in_process() -> dict:
     sys.path.insert(0, str(SRC))
-    import numpy as np
     from dhworkspace import (PointCloud, SampleSpec, builtin_fixture, cli, generate_cloud, joint_samples,
                              summarize, voxelize)
 
@@ -159,9 +158,6 @@ def in_process() -> dict:
         def cloud():
             return PointCloud(points=points, robot=model.name, seed=SEED)
 
-        def copied():
-            return PointCloud(points=np.array(points), robot=model.name, seed=SEED)
-
         def tail(c):
             return summarize(c, RESOLUTION)
 
@@ -170,8 +166,7 @@ def in_process() -> dict:
             "generate_cloud": _best(lambda _: generate_cloud(model, spec)),
             "voxelize": _best(lambda c: voxelize(c, RESOLUTION), cloud),
             "summarize": _best(tail, cloud),
-            "volume_tail": {"generate_cloud": _best(tail, lambda: generate_cloud(model, spec)),
-                            "copy": _best(tail, copied)},
+            "volume_tail": _best(tail, lambda: generate_cloud(model, spec)),
             "csv_text": _best(lambda _: cli._rows_text("x,y,z\n", points, ",")),
         }
     return out

@@ -1,6 +1,5 @@
 """Sampling, clouds, voxel grids, projections, summaries."""
 
-import dataclasses
 import math
 import os
 import threading
@@ -40,10 +39,10 @@ def limits_matrix(model):
 def collapse_limits(model, value=0.0):
     """Model with every joint pinned to a single value via min == max."""
     rows = tuple(
-        dataclasses.replace(r, limits=(value, value),
-                            fixed=value if r.fixed is not None else None)
+        DHRow(r.kind, r.a, r.alpha, r.d, r.theta_offset, limits=(value, value),
+              fixed=value if r.fixed is not None else None)
         for r in model.rows)
-    return dataclasses.replace(model, rows=rows)
+    return RobotModel(model.name, rows)
 
 
 def cloud_of(points):
@@ -143,8 +142,8 @@ def test_joint_samples_mean_sits_at_interval_midpoint():
 
 def test_joint_samples_needs_a_movable_joint():
     wam = builtin_fixture("wam")
-    rows = tuple(dataclasses.replace(r, fixed=0.0) for r in wam.rows)
-    frozen = dataclasses.replace(wam, rows=rows)
+    rows = tuple(DHRow(r.kind, r.a, r.alpha, r.d, r.theta_offset, r.limits, fixed=0.0) for r in wam.rows)
+    frozen = RobotModel(wam.name, rows)
     with pytest.raises(ValueError):
         joint_samples(frozen, SampleSpec(n=1))
     # from the caller's thread alone, and from two workers over three blocks

@@ -12,7 +12,6 @@ into blocks, as workspace.generate_cloud does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -25,8 +24,43 @@ class KinematicsError(ValueError):
     """A joint configuration cannot be evaluated against a model."""
 
 
-@dataclass(frozen=True)
-class DHRow:
+class _Record:
+    """Base of the package's frozen records: a subclass lists its fields in
+    _fields (and as __slots__, unless it needs a __dict__), and its __init__
+    checks them and stores them with _set. The repr is Class(field=value, ...);
+    a record equals only a record of its class with equal fields, and hashes
+    as their tuple. No field can be assigned or deleted; pickle and copy
+    rebuild a record through __init__, which checks it again."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class DHRow(_Record):
     """One link of a D-H chain; its joint number is its place in the chain.
 
     a and d are meters, alpha and theta_offset radians. limits bound the
@@ -35,35 +69,30 @@ class DHRow:
     constant `fixed` value.
     """
 
-    kind: str
-    a: float
-    alpha: float
-    d: float
-    theta_offset: float = 0.0
-    limits: tuple[float, float] = (-math.pi, math.pi)
-    fixed: float | None = None
+    __slots__ = _fields = ("kind", "a", "alpha", "d", "theta_offset", "limits", "fixed")
 
-    def __post_init__(self):
-        if self.kind not in JOINT_KINDS:
-            raise ValueError(f"unknown joint kind {self.kind!r}")
-        for name in ("a", "alpha", "d", "theta_offset"):
-            if not math.isfinite(getattr(self, name)):
+    def __init__(self, kind: str, a: float, alpha: float, d: float, theta_offset: float = 0.0,
+                 limits: tuple[float, float] = (-math.pi, math.pi), fixed: float | None = None):
+        if kind not in JOINT_KINDS:
+            raise ValueError(f"unknown joint kind {kind!r}")
+        for name, value in (("a", a), ("alpha", alpha), ("d", d), ("theta_offset", theta_offset)):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        lo, hi = self.limits
+        lo, hi = limits
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("limits must be finite")
         if lo > hi:
             raise ValueError(f"limits inverted: min {lo!r} > max {hi!r}")
-        if self.fixed is not None and not lo <= self.fixed <= hi:
-            raise ValueError(f"fixed value {self.fixed!r} outside limits ({lo!r}, {hi!r})")
+        if fixed is not None and not lo <= fixed <= hi:
+            raise ValueError(f"fixed value {fixed!r} outside limits ({lo!r}, {hi!r})")
+        self._set(kind, a, alpha, d, theta_offset, limits, fixed)
 
     @property
     def movable(self) -> bool:
         return self.fixed is None
 
 
-@dataclass(frozen=True)
-class RobotModel:
+class RobotModel(_Record):
     """An ordered D-H chain in meters/radians; row k (from 1) is joint k.
 
     Chains with zero degrees of freedom are constructible (useful for
@@ -71,12 +100,12 @@ class RobotModel:
     one movable joint.
     """
 
-    name: str
-    rows: tuple[DHRow, ...]
+    __slots__ = _fields = ("name", "rows")
 
-    def __post_init__(self):
-        if not self.rows:
+    def __init__(self, name: str, rows: tuple[DHRow, ...]):
+        if not rows:
             raise ValueError("model needs at least one row")
+        self._set(name, rows)
 
     @property
     def movable_rows(self) -> tuple[DHRow, ...]:

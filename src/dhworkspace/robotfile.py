@@ -30,9 +30,8 @@ import functools
 import importlib.resources
 import math
 import re
-from dataclasses import dataclass
 
-from .kinematics import JOINT_KINDS, PRISMATIC, DHRow, RobotModel, _reach_sums
+from .kinematics import JOINT_KINDS, PRISMATIC, DHRow, RobotModel, _Record, _reach_sums
 
 UNIT_FACTORS = {"m": 1.0, "cm": 0.01, "mm": 0.001}
 
@@ -66,15 +65,14 @@ _FIELD_SYNTAX = {
 _REQUIRED_FIELDS = ("type", "a", "alpha", "d", "offset", "min", "max")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """One parse/validation finding, addressable in the source text."""
+class Diagnostic(_Record):
+    """One parse/validation finding at a 1-based line and column: severity
+    "error" or "warning", and code a stable identifier, safe to assert on."""
 
-    severity: str  # "error" or "warning"
-    line: int  # 1-based
-    column: int  # 1-based
-    message: str
-    code: str  # stable identifier, safe to assert on in tests
+    __slots__ = _fields = ("severity", "line", "column", "message", "code")
+
+    def __init__(self, severity: str, line: int, column: int, message: str, code: str):
+        self._set(severity, line, column, message, code)
 
     def __str__(self):
         return f"{self.line}:{self.column}: {self.severity}: {self.message} [{self.code}]"

@@ -16,47 +16,43 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
 
-from .kinematics import RobotModel, fk_batch
+from .kinematics import RobotModel, _Record, fk_batch
 from .rng import MASK64, bulk_unit
 
 #: bound on voxel indices and on voxels per box, so packed keys fit in int64
 _INDEX_LIMIT = 2 ** 62
 
 
-@dataclass(frozen=True)
-class SampleSpec:
+class SampleSpec(_Record):
     """Sampling request: how many configurations, from which seed."""
 
-    n: int
-    seed: int = 42
+    __slots__ = _fields = ("n", "seed")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.n}")
-        if not 0 <= self.seed <= MASK64:  # the stream's state is 64 bits; bulk_unit refuses others
-            raise ValueError(f"seed must be in 0 .. 2**64 - 1, got {self.seed}")
+    def __init__(self, n: int, seed: int = 42):
+        if n < 1:
+            raise ValueError(f"sample count must be >= 1, got {n}")
+        if not 0 <= seed <= MASK64:  # the stream's state is 64 bits; bulk_unit refuses others
+            raise ValueError(f"seed must be in 0 .. 2**64 - 1, got {seed}")
+        self._set(n, seed)
 
 
-@dataclass(frozen=True, eq=False)
-class PointCloud:
-    """End-effector positions in sample order, with their provenance.
+class PointCloud(_Record):
+    """End-effector positions in sample order, a read-only (k, 3) float64
+    array in meters with k >= 1, and their provenance. The cloud copies every
+    array a caller passes, so its cached bounds (in its __dict__) always hold;
+    generate_cloud hands its own over. A cloud equals only itself."""
 
-    A cloud holds at least one point, read-only. It copies every array a caller
-    passes, so its cached bounds always hold; generate_cloud hands its own over.
-    """
+    _fields = ("points", "robot", "seed")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    points: np.ndarray  # (k, 3) float64, meters
-    robot: str
-    seed: int
-
-    def __post_init__(self):
+    def __init__(self, points: np.ndarray, robot: str, seed: int):
         import numpy as np
-        object.__setattr__(self, "points", np.array(self.points, np.float64, order="C"))
-        if self.points.shape[1:] != (3,) or self.points.size == 0:
-            raise ValueError(f"points shape {self.points.shape} is not (k, 3) with k >= 1")
-        self.points.flags.writeable = False
+        points = np.array(points, np.float64, order="C")
+        if points.shape[1:] != (3,) or points.size == 0:
+            raise ValueError(f"points shape {points.shape} is not (k, 3) with k >= 1")
+        points.flags.writeable = False
+        self._set(points, robot, seed)
 
     #: _extremes of the points, computed once for the voxel box, the bounding box and the reach
     _bounds = functools.cached_property(lambda self: _extremes(self.points))
@@ -81,15 +77,17 @@ def _extremes(points) -> tuple:
     return tuple(lows.tolist()), tuple(highs.tolist()), float(parts[:, 6].max())
 
 
-@dataclass(frozen=True)
-class VoxelGrid:
+class VoxelGrid(_Record):
     """How many voxels of the origin-anchored grid a cloud occupies.
 
     A point p belongs to voxel floor(p / resolution), componentwise, so
     counts at equal resolution count cells of one grid, whatever the cloud.
     """
 
-    occupied_count: int
+    __slots__ = _fields = ("occupied_count",)
+
+    def __init__(self, occupied_count: int):
+        self._set(occupied_count)
 
 
 def joint_samples(model: RobotModel, spec: SampleSpec, start: int = 0,
@@ -144,9 +142,8 @@ def generate_cloud(model: RobotModel, spec: SampleSpec) -> PointCloud:
 
     _each_block(n, fill)
     points.flags.writeable = False
-    cloud = object.__new__(PointCloud)  # not __post_init__, which would copy the array
-    for field, value in (("points", points), ("robot", model.name), ("seed", spec.seed)):
-        object.__setattr__(cloud, field, value)
+    cloud = object.__new__(PointCloud)  # not __init__, which would copy the array
+    cloud._set(points, model.name, spec.seed)
     return cloud
 
 

@@ -85,6 +85,14 @@ def test_record_survives_pickle_and_copy(record, fields, text):
         assert type(again) is type(record) and again == record
 
 
+def test_unpickling_runs_the_checks_again():
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(ROW, protocol)
+        assert b"revolute" in data
+        with pytest.raises(ValueError, match="unknown joint kind 'revolved'"):
+            pickle.loads(data.replace(b"revolute", b"revolved"))
+
+
 @pytest.mark.parametrize("make", [
     lambda: DHRow(),
     lambda: DHRow("revolute", 0.0, 0.0),
@@ -145,7 +153,7 @@ def test_point_cloud_survives_pickle_and_deepcopy():
     copies = [pickle.loads(pickle.dumps(cloud, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for again in copies + [copy.deepcopy(cloud)]:
         assert type(again) is PointCloud and again is not cloud and again != cloud
-        assert again.points.tobytes() == cloud.points.tobytes()
+        assert again.points.tobytes() == cloud.points.tobytes() and not again.points.flags.writeable
         assert (again.robot, again.seed) == ("T", 1)
         assert again._bounds == cloud._bounds
 

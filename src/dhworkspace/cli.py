@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -124,24 +125,31 @@ def _require_model(source_arg: str):
 
 
 def _write_out(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write data to path, or to the file that a symlink at path names. A new
+    or regular file is replaced atomically (temp file + rename); any other kind
+    (a FIFO, a device) is written in place, where a rename would replace it."""
+    target, tmp = os.path.realpath(path), None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".")
-    except OSError as exc:
-        raise _Failure(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}") from None
-    try:
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException as exc:  # MemoryError or KeyboardInterrupt too: no temp file stays
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+            in_place = not stat.S_ISREG(os.stat(target).st_mode)
+        except FileNotFoundError:
+            in_place = False
+        if not in_place:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=os.path.basename(target) + ".")
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+        with open(target, "wb") if in_place else os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        if not in_place:
+            os.replace(tmp, target)
+    except BaseException as exc:  # MemoryError or KeyboardInterrupt too: no temp file stays
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
         if not isinstance(exc, OSError):
             raise
         raise _Failure(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}") from None
@@ -267,10 +275,7 @@ def _cmd_fk(args) -> int:
 def _cmd_workspace(args) -> int:
     model = _require_model(args.robot)
     cloud = generate_cloud(model, SampleSpec(n=args.samples, seed=args.seed))
-    if args.format == "csv":
-        data = _rows_text("x,y,z\n", cloud.points, ",")
-    else:
-        data = _ply_text(cloud)
+    data = _rows_text("x,y,z\n", cloud.points, ",") if args.format == "csv" else _ply_text(cloud)
     _write_out(args.out, data)
     return EXIT_OK
 
@@ -278,8 +283,7 @@ def _cmd_workspace(args) -> int:
 def _cmd_project(args) -> int:
     model = _require_model(args.robot)
     cloud = generate_cloud(model, SampleSpec(n=args.samples, seed=args.seed))
-    uv = project(cloud, args.plane)
-    _write_out(args.out, _rows_text("u,v\n", uv, ","))
+    _write_out(args.out, _rows_text("u,v\n", project(cloud, args.plane), ","))
     return EXIT_OK
 
 

@@ -4,9 +4,11 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import sysconfig
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -350,7 +352,7 @@ def test_unwritable_output_exits_5(tmp_path, capsys):
                        "--out", str(tmp_path / "missing" / "x.csv"))
     assert code == 5
     assert "cannot write" in err
-    # the temp file is written, then the rename onto a directory fails: it is removed
+    # a directory is no regular file, so it is opened in place, which fails: no temp file is made
     target = tmp_path / "taken"
     target.mkdir()
     code, _, err = run(capsys, "workspace", "builtin:wam", "--samples", "5", "--out", str(target))
@@ -358,6 +360,49 @@ def test_unwritable_output_exits_5(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "cannot write" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
     assert list(target.iterdir()) == []
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    argv = ["workspace", "builtin:wam", "--samples", "2", "--out"]
+    direct = tmp_path / "direct.csv"
+    assert run(capsys, *argv, str(direct)) == (0, "", "")
+    (tmp_path / "links").mkdir()
+    (tmp_path / "files").mkdir()
+    (tmp_path / "files" / "old.csv").write_bytes(b"old\n")
+    for name in ("old.csv", "new.csv"):  # an existing target and a dangling link
+        link = tmp_path / "links" / name
+        link.symlink_to(os.path.join("..", "files", name))
+        assert run(capsys, *argv, str(link)) == (0, "", "")
+        assert link.is_symlink() and os.readlink(link) == os.path.join("..", "files", name)
+        assert (tmp_path / "files" / name).read_bytes() == direct.read_bytes()
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["direct.csv", "files", "links", "new.csv",
+                                                           "new.csv", "old.csv", "old.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_out_to_a_fifo_writes_into_it(tmp_path, capsys):
+    argv = ["workspace", "builtin:wam", "--samples", "2", "--out"]
+    direct = tmp_path / "direct.csv"
+    assert run(capsys, *argv, str(direct)) == (0, "", "")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    # a FIFO replaced by a regular file would leave this reader waiting: it is a daemon
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run(capsys, *argv, str(fifo)) == (0, "", "")
+    reader.join(timeout=60)
+    assert received == [direct.read_bytes()]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    # a reader that leaves at once makes the write fail: exit 5, one line
+    reader = threading.Thread(target=lambda: open(fifo, "rb", buffering=0).close(), daemon=True)
+    reader.start()
+    code, _, err = run(capsys, "workspace", "builtin:wam", "--samples", "20000", "--out", str(fifo))
+    reader.join(timeout=60)
+    assert code == 5
+    assert err.startswith(f"error: cannot write {fifo}: ") and len(err.splitlines()) == 1
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["direct.csv", "pipe"]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -561,14 +606,20 @@ def test_installed_console_script_runs():
 
 # --- start-up -------------------------------------------------------------------
 
-def _numpy_loaded_after(code, *args):
-    """Whether a new interpreter has imported numpy once it has run code."""
+#: modules whose loading the start-up checks watch, beside the package's own
+WATCHED = ("numpy", "dataclasses")
+
+
+def _loaded_after(code, *args):
+    """The WATCHED and dhworkspace.* modules a new interpreter has imported
+    once it has run code."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE_PARENT),
                                                                      os.environ.get("PYTHONPATH")]))}
-    child = subprocess.run([sys.executable, "-c", f"import sys; {code}; print('numpy' in sys.modules)", *args],
+    report = f"print(*(m for m in sys.modules if m in {WATCHED!r} or m.startswith('dhworkspace.')))"
+    child = subprocess.run([sys.executable, "-c", f"import sys; {code}; {report}", *args],
                            env=env, capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
-    return child.stdout.splitlines()[-1] == "True"
+    return set(child.stdout.splitlines()[-1].split())
 
 
 def test_the_cli_asks_openblas_for_one_thread_unless_told_otherwise():
@@ -597,12 +648,23 @@ def test_the_cli_asks_openblas_for_one_thread_unless_told_otherwise():
 def test_parsing_and_validate_do_not_import_numpy(tmp_path):
     path = tmp_path / "wam.robot"
     path.write_text(dhworkspace.fixture_source("wam"), encoding="utf-8")
-    for code in ("import dhworkspace",
-                 "import dhworkspace; dhworkspace.builtin_fixture('wam')",
-                 "import dhworkspace, pathlib; "
-                 "assert dhworkspace.parse_robot(pathlib.Path(sys.argv[1]).read_text('utf-8'))[0]",
-                 "from dhworkspace.cli import main; assert main(['validate', 'builtin:wam']) == 0"):
-        assert not _numpy_loaded_after(code, str(path)), code
-    # the check itself can see numpy come in
-    assert _numpy_loaded_after("from dhworkspace.cli import main; assert main(['fk', 'builtin:wam', '--q', "
-                               "'0,0,0,0,0,0']) == 0")
+    parser = {"dhworkspace.kinematics", "dhworkspace.robotfile"}
+    for code, modules in (
+            ("import dhworkspace", set()),
+            ("import dhworkspace; dhworkspace.builtin_fixture('wam')", parser),
+            ("import dhworkspace, pathlib; "
+             "assert dhworkspace.parse_robot(pathlib.Path(sys.argv[1]).read_text('utf-8'))[0]", parser),
+            # cli loads workspace for the names perfbench/spans.py wraps on it
+            ("from dhworkspace.cli import main; assert main(['validate', 'builtin:wam']) == 0",
+             parser | {"dhworkspace.cli", "dhworkspace.rng", "dhworkspace.workspace"})):
+        assert _loaded_after(code, str(path)) == modules, code
+    # the check itself can see numpy and dataclasses come in
+    assert "numpy" in _loaded_after("from dhworkspace.cli import main; assert main(['fk', 'builtin:wam', '--q', "
+                                    "'0,0,0,0,0,0']) == 0")
+    assert "dataclasses" in _loaded_after("import dataclasses")
+
+
+def test_submodules_import_by_name_from_the_package():
+    assert _loaded_after("from dhworkspace import cli, workspace; assert cli.main and workspace.voxelize") == {
+        "dhworkspace.cli", "dhworkspace.kinematics", "dhworkspace.rng", "dhworkspace.robotfile",
+        "dhworkspace.workspace"}

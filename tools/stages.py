@@ -8,9 +8,11 @@ It times the checkout it lives in (its `src/`), whatever is installed.
 
 Whole process: the `volume` and `workspace` csv commands of the benchmark's
 two workloads, and the start-up cost beside them (`python -c pass`,
-`python -c "import numpy"`, the benchmark's set-up probe, which imports the
-package and parses smokie, and `validate builtin:wam`), RUNS times each,
-alternating. Wall time is taken from spawn to reap, and the child's own peak
+`python -c "import numpy"`, `python -c "import dhworkspace"`, the
+benchmark's set-up probe, which imports the package and parses smokie, and
+`validate builtin:wam`), RUNS times each, alternating. Beside them, the
+sorted `dhworkspace.*` and `dataclasses` modules that the set-up probe
+leaves in `sys.modules`. Wall time is taken from spawn to reap, and the child's own peak
 RSS and minor page faults from `os.wait4`. A child inherits its parent's RSS
 high-water mark through fork and exec, so these run first, before this
 process imports numpy: the `volume` row's peak RSS is the CLI's own. The
@@ -27,9 +29,9 @@ SIZES. `fk_batch` is timed over the blocks of `workspace._BLOCK` rows that
 once the positions only, each in a new process that has only drawn the
 samples, so no earlier stage has grown the heap it allocates from;
 `generate_cloud` runs its blocks on every CPU in the affinity mask.
-`voxelize` and `summarize` get a new cloud each time, so they compute its
-cached bounds. `volume_tail` is what the CLI runs after sampling: `summarize`
-of a new `generate_cloud` cloud, which computes its bounds the same way.
+`voxelize` gets a new cloud each time, so it computes the cloud's cached
+bounds. `volume_tail` is what the CLI runs after sampling: `summarize` of a
+new `generate_cloud` cloud, which computes its bounds the same way.
 `parse_robot` is timed alone, best of REPEATS, on the text of each fixture
 and of a 1,000-joint file.
 
@@ -57,6 +59,8 @@ SIZES = (("wam", 20_000), ("wam", 200_000), ("smokie", 1_000_000))
 REPEATS = 7
 RUNS = 7
 RESOLUTION = 0.02
+#: the benchmark's set-up probe: import the package and parse a fixture
+SETUP_PROBE = "import sys, dhworkspace; dhworkspace.builtin_fixture(sys.argv[1])"
 
 
 def _spawn(argv: list[str], env: dict) -> tuple[float, float, int]:
@@ -72,10 +76,15 @@ def _spawn(argv: list[str], env: dict) -> tuple[float, float, int]:
     return wall, usage.ru_maxrss / 1024.0, usage.ru_minflt  # ru_maxrss is in KiB on Linux
 
 
+def _child_env() -> dict:
+    """This process's environment, with the checkout's src/ first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
 def whole_process() -> dict:
     if "numpy" in sys.modules:
         raise RuntimeError("numpy is imported: the CLI children would inherit this process's peak RSS")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     with tempfile.TemporaryDirectory() as scratch:
         cli = ["-m", "dhworkspace.cli"]
         commands = {
@@ -86,7 +95,8 @@ def whole_process() -> dict:
                                          "--out", os.path.join(scratch, "cloud.csv")],
             "python_pass": ["-c", "pass"],
             "python_import_numpy": ["-c", "import numpy"],
-            "setup_smokie": ["-c", "import sys, dhworkspace; dhworkspace.builtin_fixture(sys.argv[1])", "smokie"],
+            "import_dhworkspace": ["-c", "import dhworkspace"],
+            "setup_smokie": ["-c", SETUP_PROBE, "smokie"],
             "validate_wam": [*cli, "validate", "builtin:wam"],
         }
         shown = {name: shlex.join(argv).replace(scratch, "<tmp>") for name, argv in commands.items()}
@@ -103,6 +113,15 @@ def whole_process() -> dict:
                      "median_minor_faults": statistics.median(faults),
                      "wall_s": walls, "peak_rss_mb": rss, "minor_faults": faults}
     return out
+
+
+def probe_modules() -> list:
+    """The sorted dhworkspace.* and dataclasses modules that the set-up probe
+    leaves in sys.modules."""
+    report = "; print(*sorted(m for m in sys.modules if m.startswith('dhworkspace.') or m == 'dataclasses'))"
+    child = subprocess.run([sys.executable, "-c", SETUP_PROBE + report, "smokie"], env=_child_env(),
+                           stdout=subprocess.PIPE, text=True, check=True)
+    return child.stdout.split()
 
 
 def _best(fn, setup=lambda: None) -> float:
@@ -158,15 +177,11 @@ def in_process() -> dict:
         def cloud():
             return PointCloud(points=points, robot=model.name, seed=SEED)
 
-        def tail(c):
-            return summarize(c, RESOLUTION)
-
         out[f"{robot}_{n}"] = {
             "joint_samples": _best(lambda _: joint_samples(model, spec)),
             "generate_cloud": _best(lambda _: generate_cloud(model, spec)),
             "voxelize": _best(lambda c: voxelize(c, RESOLUTION), cloud),
-            "summarize": _best(tail, cloud),
-            "volume_tail": _best(tail, lambda: generate_cloud(model, spec)),
+            "volume_tail": _best(lambda c: summarize(c, RESOLUTION), lambda: generate_cloud(model, spec)),
             "csv_text": _best(lambda _: cli._rows_text("x,y,z\n", points, ",")),
         }
     return out
@@ -212,6 +227,7 @@ def main() -> None:
         "in_process_s": stages,
         "parse_robot_s": parse_rows(),
         "whole_process": walls,
+        "setup_probe_modules": probe_modules(),
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "source_lines": source_lines(),

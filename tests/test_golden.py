@@ -7,9 +7,9 @@ transform prints a `-0.000000000` entry. A change that moves a byte of any outpu
 here on purpose and say why in CHANGES.md; a test that only compares a run
 with a second run of the same code cannot catch such drift. One test also
 recomputes the fk digests and a CSV digest in a child process whose numpy
-dispatches no AVX2 or AVX-512 code. One more digest covers `parse_robot`:
-the model and every diagnostic it gives for a seeded corpus of description
-files.
+dispatches no AVX2 or AVX-512 code. Two more digests cover the parser:
+the model and every diagnostic `parse_robot` gives for a seeded corpus of
+description files, and the exit code and stderr of `validate` on each file.
 """
 
 import functools
@@ -219,6 +219,21 @@ def test_diagnostic_digest_is_frozen():
         model, diags = parse_robot(source)
         h.update("\n".join([repr(model), *map(str, diags), ""]).encode("utf-8"))
     assert h.hexdigest() == GOLDEN_DIAGNOSTICS
+
+
+#: sha256 over the exit code and stderr of `validate` on each file of
+#: diagnostic_corpus(): which exit code the diagnostics above give
+GOLDEN_VALIDATE = "14a432b94457f0aad163ae0d79a7c79fc11bd9042896a18f42cd09b844b738c0"
+
+
+def test_validate_exit_digest_is_frozen(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # stderr names the file by the path given
+    h = hashlib.sha256()
+    for source in diagnostic_corpus():
+        Path("corpus.robot").write_bytes(source.encode("utf-8"))
+        code = main(["validate", "corpus.robot"])
+        h.update(f"{code}\n{capsys.readouterr().err}\0".encode("utf-8"))
+    assert h.hexdigest() == GOLDEN_VALIDATE
 
 
 def test_readme_lists_exactly_the_codes_the_corpus_reaches():

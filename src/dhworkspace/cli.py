@@ -102,25 +102,22 @@ def _print(text: str) -> None:
         raise _Failure(EXIT_IO, f"cannot write stdout: {exc.strerror or exc}") from None
 
 
-def _report(diags, label):
+def _parse(source_arg: str):
+    """Print the diagnostics of a path or builtin:<name> argument on stderr;
+    return its model (None when rejected) and the exit code they give."""
+    model, diags = parse_robot(_read_source(source_arg))
     for diag in diags:
-        print(f"{label}:{diag}", file=sys.stderr)
-
-
-def _classify(diags) -> int:
-    errors = [d for d in diags if d.severity == ERROR]
+        print(f"{source_arg}:{diag}", file=sys.stderr)
+    errors = {d.code for d in diags if d.severity == ERROR}
     if not errors:
-        return EXIT_OK
-    if all(d.code in _SEMANTIC_CODES for d in errors):
-        return EXIT_VALIDATION
-    return EXIT_PARSE
+        return model, EXIT_OK
+    return model, EXIT_VALIDATION if errors <= _SEMANTIC_CODES else EXIT_PARSE
 
 
 def _require_model(source_arg: str):
-    model, diags = parse_robot(_read_source(source_arg))
-    _report(diags, source_arg)
+    model, code = _parse(source_arg)
     if model is None:
-        raise _Failure(_classify(diags), f"{source_arg}: robot description rejected")
+        raise _Failure(code, f"{source_arg}: robot description rejected")
     return model
 
 
@@ -249,9 +246,7 @@ def _ply_text(cloud) -> bytearray:
 
 
 def _cmd_validate(args) -> int:
-    _, diags = parse_robot(_read_source(args.robot))
-    _report(diags, args.robot)
-    return _classify(diags)
+    return _parse(args.robot)[1]
 
 
 def _cmd_fk(args) -> int:

@@ -27,8 +27,8 @@ no error was found.
 from __future__ import annotations
 
 import functools
-import importlib.resources
 import math
+import os
 import re
 
 from .kinematics import JOINT_KINDS, PRISMATIC, DHRow, RobotModel, _Record, _reach_sums
@@ -50,19 +50,13 @@ _TOKEN_RE = re.compile(r"\S+")
 #: at form feeds, U+0085, U+2028 and other characters inside a comment
 _LINE_END_RE = re.compile(r"\r\n|\r|\n")
 _ROBOT_RE = re.compile(r"\s*robot\s+\"([^\"]*)\"\s*\Z")
+#: leading zeros, then at most 640 digits, which int() and str() convert
+#: under any limit on integer digits (sys.set_int_max_str_digits)
+_INDEX_RE = re.compile(r"0*((?!0)\d{1,640})\Z")
 
-#: value syntax per joint field: plain number, or number-or-pi-fraction
-_FIELD_SYNTAX = {
-    "type": "kind",
-    "a": "num",
-    "alpha": "angle",
-    "d": "num",
-    "offset": "angle",
-    "min": "angle",
-    "max": "angle",
-    "fixed": "angle",
-}
-_REQUIRED_FIELDS = ("type", "a", "alpha", "d", "offset", "min", "max")
+#: the joint fields, each required but the last; a and d are plain numbers,
+#: the others but type also accept pi fractions
+_FIELDS = ("type", "a", "alpha", "d", "offset", "min", "max", "fixed")
 
 
 class Diagnostic(_Record):
@@ -204,11 +198,12 @@ def _parse_joint_line(tokens, lineno, col, diags):
     kind, values, columns), where values and columns map a field name to
     its float and to the 1-based column of its token. Returns None when even
     the index is unusable."""
-    if len(tokens) < 2 or not re.fullmatch(r"\d+", tokens[1][0]) or int(tokens[1][0]) < 1:
+    m = len(tokens) > 1 and _INDEX_RE.match(tokens[1][0])
+    if not m or int(m.group(1)) < 1:
         at = tokens[1][1] if len(tokens) > 1 else col
         diags.append(_err(lineno, at, "expected a positive integer joint index", "bad-joint-index"))
         return None
-    index, column = int(tokens[1][0]), tokens[1][1]
+    index, column = int(m.group(1)), tokens[1][1]
     kind = None
     v = {}
     cols = {}
@@ -218,29 +213,29 @@ def _parse_joint_line(tokens, lineno, col, diags):
         if not eq or not raw:
             diags.append(_err(lineno, tcol, f"expected key=value, got {tok!r}", "malformed-field"))
             continue
-        syntax = _FIELD_SYNTAX.get(key)
-        if syntax is None:
+        if key not in _FIELDS:
             diags.append(_err(lineno, tcol, f"unknown field {key!r}", "unknown-field"))
             continue
         if key in cols:
             diags.append(_err(lineno, tcol, f"duplicate field {key!r}", "duplicate-field"))
             continue
         cols[key] = tcol
-        if syntax == "kind":
+        if key == "type":
             if raw in JOINT_KINDS:
                 kind = raw
             else:
                 diags.append(_err(lineno, tcol, f"joint type must be revolute or prismatic, got {raw!r}", "bad-kind"))
         else:
-            value = _parse_value(raw, allow_pi=(syntax == "angle"))
+            angle = key not in ("a", "d")
+            value = _parse_value(raw, allow_pi=angle)
             if value is None:
-                code = "bad-angle" if syntax == "angle" else "bad-number"
-                what = "number or pi fraction" if syntax == "angle" else "number"
+                code = "bad-angle" if angle else "bad-number"
+                what = "number or pi fraction" if angle else "number"
                 diags.append(_err(lineno, tcol, f"{key}: expected a finite {what}, got {raw!r}", code))
             else:
                 v[key] = value
 
-    for key in _REQUIRED_FIELDS:
+    for key in _FIELDS[:-1]:
         if key not in cols:
             diags.append(_err(lineno, column, f"joint {index}: missing field {key!r}", "missing-field"))
 
@@ -274,26 +269,18 @@ def _check_indices(joints, diags):
                           "noncontiguous-indices"))
 
 
-_FIXTURE_FILES = {
-    "smokie": "smokie.robot",
-    "wam": "wam.robot",
-    "wam-code-variant": "wam_code_variant.robot",
-}
-
-
 def fixture_names() -> tuple[str, ...]:
-    return tuple(sorted(_FIXTURE_FILES))
+    return ("smokie", "wam", "wam-code-variant")
 
 
 def fixture_source(name: str) -> str:
-    """Raw description text of a packaged fixture."""
-    try:
-        fname = _FIXTURE_FILES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown fixture {name!r}; expected one of {', '.join(fixture_names())}"
-        ) from None
-    return (importlib.resources.files(__package__) / "fixtures" / fname).read_text("utf-8")
+    """Raw description text of a packaged fixture: fixtures/<name>.robot
+    beside this module, with each - of the name spelled _."""
+    if name not in fixture_names():
+        raise ValueError(f"unknown fixture {name!r}; expected one of {', '.join(fixture_names())}")
+    path = os.path.join(os.path.dirname(__file__), "fixtures", name.replace("-", "_") + ".robot")
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 @functools.lru_cache(maxsize=None)

@@ -67,6 +67,34 @@ def test_validate_semantic_error_exits_3(tmp_path, capsys):
     assert "[limits-inverted]" in err
 
 
+#: a second joint line's index and what validate says of it: 5,000
+#: characters are more than int() converts under the default limit of 4,300
+#: digits; 640 digits, the lowest limit there is, convert under any limit
+INDICES = {
+    "too-long": ("9" * 5000, "expected a positive integer joint index [bad-joint-index]"),
+    "zero-padded": ("0" * 4999 + "1", "duplicate joint index 1 [duplicate-joint-index]"),
+    "640-digits": ("0" * 9 + "9" * 640,
+                   f"joint indices must be contiguous 1..2, got [1, {'9' * 640}] [noncontiguous-indices]"),
+    "641-digits": ("9" * 641, "expected a positive integer joint index [bad-joint-index]"),
+}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no limit on integer digits")
+@pytest.mark.parametrize("limit", [4300, 640, 0], ids=["default-limit", "lowest-limit", "no-limit"])
+@pytest.mark.parametrize("case", sorted(INDICES))
+def test_a_joint_index_of_any_length_exits_2(tmp_path, capsys, case, limit):
+    index, message = INDICES[case]
+    path = tmp_path / "t.robot"
+    path.write_text(GOOD + GOOD.splitlines()[-1].replace("joint 1", f"joint {index}") + "\n")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        result = run(capsys, "validate", str(path))
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert result == (2, "", f"{path}:4:7: error: {message}\n")
+
+
 #: files whose numbers are finite but whose max - min, summed link lengths,
 #: or revolute offset + min or offset + max overflow a float, each with an
 #: `fk --q` within its limits

@@ -134,6 +134,12 @@ MALFORMED = [
      "range-overflow", 3, "min="),
     ("no-joints", H, "no-joints", 1, None),
     ("all-joints-fixed", H + OK.rstrip() + " fixed=0\n", "all-joints-fixed", 3, "1"),
+    # 5,000 characters: more digits than int() converts under the default limit
+    ("joint-index-too-long",
+     H + "joint " + "9" * 5000 + " type=revolute a=0 alpha=0 d=0 offset=0 min=-1 max=1\n",
+     "bad-joint-index", 3, "9"),
+    ("zero-padded-joint-index", H + OK + OK.replace("joint 1", "joint " + "0" * 4999 + "1"),
+     "duplicate-joint-index", 4, "0"),
 ]
 
 

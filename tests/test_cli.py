@@ -635,16 +635,18 @@ def test_installed_console_script_runs():
 # --- start-up -------------------------------------------------------------------
 
 #: modules whose loading the start-up checks watch, beside the package's own
-WATCHED = ("numpy", "dataclasses")
+WATCHED = ("numpy", "dataclasses", "importlib.resources")
 
 
 def _loaded_after(code, *args):
-    """The WATCHED and dhworkspace.* modules a new interpreter has imported
-    once it has run code."""
+    """The WATCHED and dhworkspace.* modules a new interpreter imports while
+    it runs code, beyond those its own start-up loaded: site may load any
+    module first (a .pth file in site-packages runs code)."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE_PARENT),
                                                                      os.environ.get("PYTHONPATH")]))}
-    report = f"print(*(m for m in sys.modules if m in {WATCHED!r} or m.startswith('dhworkspace.')))"
-    child = subprocess.run([sys.executable, "-c", f"import sys; {code}; {report}", *args],
+    report = (f"print(*(m for m in set(sys.modules) - start_up "
+              f"if m in {WATCHED!r} or m.startswith('dhworkspace.')))")
+    child = subprocess.run([sys.executable, "-c", f"import sys; start_up = set(sys.modules); {code}; {report}", *args],
                            env=env, capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
     return set(child.stdout.splitlines()[-1].split())

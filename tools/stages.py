@@ -10,9 +10,13 @@ Whole process: the `volume` and `workspace` csv commands of the benchmark's
 two workloads, and the start-up cost beside them (`python -c pass`,
 `python -c "import numpy"`, `python -c "import dhworkspace"`, the
 benchmark's set-up probe, which imports the package and parses smokie, and
-`validate builtin:wam`), RUNS times each, alternating. Beside them, the
-sorted `dhworkspace.*` and `dataclasses` modules that the set-up probe
-leaves in `sys.modules`. Wall time is taken from spawn to reap, and the child's own peak
+`validate builtin:wam`), RUNS times each, alternating. `python -S -c pass`
+and the set-up probe under `python -S` give the package's own start-up:
+without site, no `.pth` file in site-packages runs, and such a file may
+import any module into every interpreter (PYTHONPATH and
+PYTHONDONTWRITEBYTECODE still apply). Beside them, the sorted modules that
+the set-up probe adds to `sys.modules` beyond its interpreter's start-up,
+with and without site. Wall time is taken from spawn to reap, and the child's own peak
 RSS and minor page faults from `os.wait4`. A child inherits its parent's RSS
 high-water mark through fork and exec, so these run first, before this
 process imports numpy: the `volume` row's peak RSS is the CLI's own. The
@@ -97,6 +101,8 @@ def whole_process() -> dict:
             "python_import_numpy": ["-c", "import numpy"],
             "import_dhworkspace": ["-c", "import dhworkspace"],
             "setup_smokie": ["-c", SETUP_PROBE, "smokie"],
+            "python_pass_no_site": ["-S", "-c", "pass"],
+            "setup_smokie_no_site": ["-S", "-c", SETUP_PROBE, "smokie"],
             "validate_wam": [*cli, "validate", "builtin:wam"],
         }
         shown = {name: shlex.join(argv).replace(scratch, "<tmp>") for name, argv in commands.items()}
@@ -115,13 +121,16 @@ def whole_process() -> dict:
     return out
 
 
-def probe_modules() -> list:
-    """The sorted dhworkspace.* and dataclasses modules that the set-up probe
-    leaves in sys.modules."""
-    report = "; print(*sorted(m for m in sys.modules if m.startswith('dhworkspace.') or m == 'dataclasses'))"
-    child = subprocess.run([sys.executable, "-c", SETUP_PROBE + report, "smokie"], env=_child_env(),
-                           stdout=subprocess.PIPE, text=True, check=True)
-    return child.stdout.split()
+def probe_modules() -> dict:
+    """The sorted modules that the set-up probe adds to sys.modules beyond
+    its interpreter's start-up, with site and without (python -S)."""
+    code = f"import sys; start_up = set(sys.modules); {SETUP_PROBE}; print(*sorted(set(sys.modules) - start_up))"
+    out = {}
+    for row, flags in (("site", []), ("no_site", ["-S"])):
+        child = subprocess.run([sys.executable, *flags, "-c", code, "smokie"], env=_child_env(),
+                               stdout=subprocess.PIPE, text=True, check=True)
+        out[row] = child.stdout.split()
+    return out
 
 
 def _best(fn, setup=lambda: None) -> float:

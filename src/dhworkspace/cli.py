@@ -125,19 +125,20 @@ def _write_out(path: str, data: bytes) -> None:
     """Write data to path, or to the file that a symlink at path names. A new
     or regular file is replaced atomically (temp file + rename); any other kind
     (a FIFO, a device) is written in place, where a rename would replace it."""
-    target, tmp = os.path.realpath(path), None
+    tmp = None
     try:
         try:
-            in_place = not stat.S_ISREG(os.stat(target).st_mode)
+            in_place = not stat.S_ISREG(os.stat(path).st_mode)
         except FileNotFoundError:
             in_place = False
         if not in_place:
+            target = os.path.realpath(path)
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=os.path.basename(target) + ".")
             # mkstemp creates the file 0600; give it the mode open() would
             umask = os.umask(0)
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)
-        with open(target, "wb") if in_place else os.fdopen(fd, "wb") as handle:
+        with open(path, "wb") if in_place else os.fdopen(fd, "wb") as handle:
             handle.write(data)
         if not in_place:
             os.replace(tmp, target)

@@ -274,11 +274,10 @@ def fixture_names() -> tuple[str, ...]:
 
 
 def fixture_source(name: str) -> str:
-    """Raw description text of a packaged fixture: fixtures/<name>.robot
-    beside this module, with each - of the name spelled _."""
+    """Raw description text of a packaged fixture: fixtures/<name>.robot beside this module."""
     if name not in fixture_names():
         raise ValueError(f"unknown fixture {name!r}; expected one of {', '.join(fixture_names())}")
-    path = os.path.join(os.path.dirname(__file__), "fixtures", name.replace("-", "_") + ".robot")
+    path = os.path.join(os.path.dirname(__file__), "fixtures", name + ".robot")
     with open(path, encoding="utf-8") as handle:
         return handle.read()
 

@@ -433,15 +433,25 @@ def test_out_to_a_fifo_writes_into_it(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["direct.csv", "pipe"]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/fd/1"), reason="no /dev/fd")
+def test_out_to_stdout_by_name_writes_into_a_pipe(tmp_path, capsys, child_env):
+    # on Linux /dev/stdout and /dev/fd/1 link to /proc/self/fd/1, whose
+    # target a pipe names as "pipe:[N]", no file; the link itself opens
+    argv = ["workspace", "builtin:wam", "--samples", "2", "--out"]
+    direct = tmp_path / "direct.csv"
+    assert run(capsys, *argv, str(direct)) == (0, "", "")
+    for name in ("/dev/stdout", "/dev/fd/1"):
+        child = subprocess.run([sys.executable, "-m", "dhworkspace.cli", *argv, name], env=child_env(),
+                               capture_output=True, timeout=60)
+        assert (child.returncode, child.stderr, child.stdout) == (0, b"", direct.read_bytes()), name
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True])
-def test_unwritable_stdout_exits_5(unbuffered):
+def test_unwritable_stdout_exits_5(child_env, unbuffered):
     # a buffered stdout fails at the flush, an unbuffered one at the write:
     # either way one error line, and nothing from the interpreter's exit
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_PARENT), env.get("PYTHONPATH")]))
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
+    env = child_env(PYTHONUNBUFFERED="1" if unbuffered else None)
     for argv in (["volume", "builtin:wam", "--samples", "100"], ["fk", "builtin:wam", "--q", "0,0,0,0,0,0"]):
         with open("/dev/full", "w") as full:
             child = subprocess.run([sys.executable, "-m", "dhworkspace.cli", *argv], env=env,
@@ -612,89 +622,17 @@ def _check_console_command(command, env=None):
     assert len(bad.stderr.splitlines()) == 1
 
 
-def test_console_script_is_installed():
+def test_console_script_is_installed(child_env):
     """The declared `dhworkspace` entry point runs the CLI, installed or not."""
     scripts = _load_toml(PACKAGE_PARENT.parent / "pyproject.toml")["project"]["scripts"]
     assert "dhworkspace" in scripts
     module, attr = scripts["dhworkspace"].split(":")
     # The same call as the wrapper an installer generates for the entry point.
     wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    pythonpath = [str(PACKAGE_PARENT)]
-    if os.environ.get("PYTHONPATH"):
-        pythonpath.append(os.environ["PYTHONPATH"])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
-    _check_console_command([sys.executable, "-c", wrapper], env=env)
+    _check_console_command([sys.executable, "-c", wrapper], env=child_env())
 
 
 @pytest.mark.skipif(not INSTALLED_SCRIPT.exists(),
                     reason=f"package not installed: no {INSTALLED_SCRIPT}")
 def test_installed_console_script_runs():
     _check_console_command([str(INSTALLED_SCRIPT)])
-
-
-# --- start-up -------------------------------------------------------------------
-
-#: modules whose loading the start-up checks watch, beside the package's own
-WATCHED = ("numpy", "dataclasses", "importlib.resources")
-
-
-def _loaded_after(code, *args):
-    """The WATCHED and dhworkspace.* modules a new interpreter imports while
-    it runs code, beyond those its own start-up loaded: site may load any
-    module first (a .pth file in site-packages runs code)."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE_PARENT),
-                                                                     os.environ.get("PYTHONPATH")]))}
-    report = (f"print(*(m for m in set(sys.modules) - start_up "
-              f"if m in {WATCHED!r} or m.startswith('dhworkspace.')))")
-    child = subprocess.run([sys.executable, "-c", f"import sys; start_up = set(sys.modules); {code}; {report}", *args],
-                           env=env, capture_output=True, text=True, timeout=60)
-    assert child.returncode == 0, child.stderr
-    return set(child.stdout.splitlines()[-1].split())
-
-
-def test_the_cli_asks_openblas_for_one_thread_unless_told_otherwise():
-    # the package makes no BLAS call, so an idle OpenBLAS thread would only
-    # spin beside the sampler's; a user's value wins, and a process that
-    # imported numpy before main keeps the setting it loaded numpy with
-    code = ("import os, sys\n"
-            "if sys.argv[1:]: import numpy\n"
-            "from dhworkspace.cli import main\n"
-            "assert main(['fk', 'builtin:wam', '--q', '0,0,0,0,0,0']) == 0\n"
-            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_PARENT), env.get("PYTHONPATH")]))
-
-    def seen(extra, *args):
-        child = subprocess.run([sys.executable, "-c", code, *args], env={**env, **extra},
-                               capture_output=True, text=True, timeout=60)
-        assert child.returncode == 0, child.stderr
-        return child.stdout.splitlines()[-1]
-
-    assert seen({}) == "1"
-    assert seen({"OPENBLAS_NUM_THREADS": "3"}) == "3"
-    assert seen({}, "numpy first") == "None"
-
-
-def test_parsing_and_validate_do_not_import_numpy(tmp_path):
-    path = tmp_path / "wam.robot"
-    path.write_text(dhworkspace.fixture_source("wam"), encoding="utf-8")
-    parser = {"dhworkspace.kinematics", "dhworkspace.robotfile"}
-    for code, modules in (
-            ("import dhworkspace", set()),
-            ("import dhworkspace; dhworkspace.builtin_fixture('wam')", parser),
-            ("import dhworkspace, pathlib; "
-             "assert dhworkspace.parse_robot(pathlib.Path(sys.argv[1]).read_text('utf-8'))[0]", parser),
-            # cli loads workspace for the names perfbench/spans.py wraps on it
-            ("from dhworkspace.cli import main; assert main(['validate', 'builtin:wam']) == 0",
-             parser | {"dhworkspace.cli", "dhworkspace.rng", "dhworkspace.workspace"})):
-        assert _loaded_after(code, str(path)) == modules, code
-    # the check itself can see numpy and dataclasses come in
-    assert "numpy" in _loaded_after("from dhworkspace.cli import main; assert main(['fk', 'builtin:wam', '--q', "
-                                    "'0,0,0,0,0,0']) == 0")
-    assert "dataclasses" in _loaded_after("import dataclasses")
-
-
-def test_submodules_import_by_name_from_the_package():
-    assert _loaded_after("from dhworkspace import cli, workspace; assert cli.main and workspace.voxelize") == {
-        "dhworkspace.cli", "dhworkspace.kinematics", "dhworkspace.rng", "dhworkspace.robotfile",
-        "dhworkspace.workspace"}

@@ -15,7 +15,6 @@ description files, and the exit code and stderr of `validate` on each file.
 import functools
 import hashlib
 import json
-import os
 import random
 import re
 import subprocess
@@ -24,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-import dhworkspace
 from dhworkspace import fixture_source, parse_robot
 from dhworkspace.cli import main
 from test_robotfile import MALFORMED
@@ -156,18 +154,16 @@ print(json.dumps({"digests": digests, "enabled": enabled}))
 """
 
 
-def test_digests_hold_with_baseline_simd(tmp_path):
+def test_digests_hold_with_baseline_simd(tmp_path, child_env):
     """The fk digests and the block-crossing CSV digest, recomputed in a
     child process whose numpy may not dispatch to AVX2 or AVX-512 code."""
     out = str(tmp_path / "cloud.csv")
     jobs = [[["fk", f"builtin:{fixture}", f"--q={q}", "--degrees"], None]
             for fixture, (q, _) in sorted(GOLDEN_FK.items())]
     jobs.append([["workspace", "builtin:wam", *BLOCK_SAMPLING, "--out", out], out])
-    package_parent = str(Path(dhworkspace.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath, "NPY_DISABLE_CPU_FEATURES": BASELINE_SIMD}
     child = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(jobs), BASELINE_SIMD],
-                           env=env, capture_output=True, text=True, timeout=120)
+                           env=child_env(NPY_DISABLE_CPU_FEATURES=BASELINE_SIMD),
+                           capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     result = json.loads(child.stdout)
     assert result["enabled"] == []
